@@ -10,11 +10,15 @@
 #   A — cache-write storm: every other disk-cache write fails; the
 #       response is still served and byte-equal, --stats shows
 #       disk_errors > 0, and a hard request error exits 1 while a
-#       dead socket with retries exhausted exits 3.
-#   B — disk hard-down: every cache read AND write fails; after
-#       diskFailureLimit consecutive errors the disk tier disables
-#       itself (disk_disabled: true) and the memory tier keeps
-#       serving byte-equal responses.
+#       dead socket with retries exhausted exits 3.  The second
+#       request varies a checkpoint knob: a new cache key whose
+#       artifacts are byte-equal, so it writes a second memo (an
+#       exact repeat would replay the first and write nothing).
+#   B — disk hard-down: every cache read AND write fails; after 3
+#       consecutive errors (the first request's memo lookup and
+#       store, the second's lookup) the disk tier disables itself
+#       (disk_disabled: true) and the memory tier keeps serving
+#       byte-equal responses.
 #   C — socket I/O storm: EINTR and short transfers injected into
 #       both the server's and the client's socket loops; the
 #       protocol survives byte-for-byte.
@@ -187,7 +191,7 @@ start_daemon serverA.log --cache-dir "$WORKDIR/cacheA" \
     --failpoints 'cache.write=error@every:2'
 request "$WORKDIR/a_first"
 verify "$WORKDIR/a_first"
-request "$WORKDIR/a_second"
+request "$WORKDIR/a_second" --checkpoints 3
 verify "$WORKDIR/a_second"
 stats_to "$WORKDIR/statsA.json"
 expect_counter "$WORKDIR/statsA.json" disk_errors 1

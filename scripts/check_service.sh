@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Prove the campaign service serves byte-exact campaigns under
-# concurrency and that its caches survive a daemon restart.
+# concurrency and that its response memo survives a daemon restart.
 #
 # Leg 1 — concurrent warm cache:
 #   Starts a dfi-serve daemon with --workers 4, submits the three
@@ -24,15 +24,15 @@
 #   Starts a daemon with --cache-dir, runs the campaigns, SIGTERMs
 #   it, restarts it over the same directory, and requires:
 #
-#   5. the first daemon to drain and exit 0 on SIGTERM, leaving
-#      prep_*.bin and resp_*.json spill files behind;
+#   5. the first daemon to drain and exit 0 on SIGTERM, leaving one
+#      resp_*.json memo file per campaign behind;
 #   6. exact repeat requests against the restarted daemon to replay
 #      the memoized response (`cache_source: response`) byte-equal
 #      to the golden baselines;
-#   7. a --no-prune variation to adopt the prepared state from disk
-#      (`cache_source: disk`) and stay `dfi-diff --exact`-equal to
-#      the golden baseline (pruned and unpruned artifacts differ in
-#      bytes but never in outcomes).
+#   7. a --no-prune variation to miss the memo and prepare cold
+#      (`cache_source: none`; prepared state is memory-only) and stay
+#      `dfi-diff --exact`-equal to the golden baseline (pruned and
+#      unpruned artifacts differ in bytes but never in outcomes).
 #
 # Usage:
 #   scripts/check_service.sh [WORKDIR]
@@ -238,26 +238,25 @@ kill -TERM "$SERVER_PID"
 await_daemon server2.log SIGTERM
 
 shopt -s nullglob
-preps=("$CACHE_DIR"/prep_*.bin)
 resps=("$CACHE_DIR"/resp_*.json)
 shopt -u nullglob
-if [[ "${#preps[@]}" -ne 3 || "${#resps[@]}" -ne 3 ]]; then
-    echo "expected 3 prep spills + 3 response memos in $CACHE_DIR," \
-         "found ${#preps[@]} + ${#resps[@]}" >&2
+if [[ "${#resps[@]}" -ne 3 ]]; then
+    echo "expected 3 response memos in $CACHE_DIR," \
+         "found ${#resps[@]}" >&2
     status=1
 fi
 
-echo "== restarted daemon serves disk warm hits" >&2
+echo "== restarted daemon replays memoized responses" >&2
 start_daemon server3.log --cache-dir "$CACHE_DIR"
 for core in "${CORES[@]}"; do
     request "$core" "$WORKDIR/memo_$core"
     verify "$core" "$WORKDIR/memo_$core" true response byte
 done
 
-# A run-set variation misses the response memo but adopts the
-# prepared state spilled by the *previous* daemon process.
+# A run-set variation misses the response memo and re-prepares cold:
+# prepared state does not outlive the daemon process.
 request marss-x86 "$WORKDIR/noprune_marss-x86" --no-prune
-verify marss-x86 "$WORKDIR/noprune_marss-x86" true disk diff
+verify marss-x86 "$WORKDIR/noprune_marss-x86" false none diff
 
 timeout 30 "$SERVE_BIN" --connect "$SOCKET" --stats >&2
 timeout 30 "$SERVE_BIN" --connect "$SOCKET" --shutdown > /dev/null
@@ -270,4 +269,4 @@ if [[ "$status" -ne 0 ]]; then
 fi
 echo "OK: 13 served smoke campaigns match $GOLDEN_DIR/ —" >&2
 echo "    concurrent cold round byte-equal, warm round from memory," >&2
-echo "    restart round from the disk cache (response + prep)." >&2
+echo "    restart round from the response memo, variation cold." >&2

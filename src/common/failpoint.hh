@@ -36,8 +36,7 @@
  * the same hit sequence — asserted by tests/common/test_failpoint.cc.
  *
  * Zero-cost when inactive: check() is one relaxed atomic load until
- * a spec is armed; sites may therefore sit on hot paths (the serial
- * archive writes one scalar at a time through one).
+ * a spec is armed; sites may therefore sit on hot paths.
  *
  * Thread-safety: configure()/reset() must not race check(); arm once
  * at process start (tools do it right after flag parsing).  check()

@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/serial.hh"
 
 namespace dfi
 {
@@ -52,16 +51,6 @@ StatSet::dump(const std::string &prefix) const
         os << prefix << name << " = " << value << "\n";
     return os.str();
 }
-
-template <class Ar>
-void
-StatSet::serializeState(Ar &ar)
-{
-    serial::value(ar, counters_);
-}
-
-template void StatSet::serializeState(serial::Writer &);
-template void StatSet::serializeState(serial::Reader &);
 
 void
 TextTable::header(std::vector<std::string> cells)

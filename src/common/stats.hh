@@ -72,9 +72,6 @@ class StatSet
     /** Multi-line "name = value" dump, sorted by name. */
     std::string dump(const std::string &prefix = "") const;
 
-    /** Serialize all counters (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
   private:
     std::map<std::string, std::uint64_t> counters_;
 };

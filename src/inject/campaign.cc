@@ -8,7 +8,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/serial.hh"
+#include "inject/config_fields.hh"
 #include "inject/executor.hh"
 #include "inject/plan.hh"
 #include "inject/reporting.hh"
@@ -121,16 +121,21 @@ CampaignConfig::cacheKey() const
 {
     // The deterministic identity of a campaign is exactly its
     // telemetry config echo (every outcome-relevant field, no
-    // execution-strategy knobs).  The checkpoint knobs are appended
-    // because the cached artifact includes the CheckpointStore,
-    // whose capture schedule they shape.  A format tag leads so a
-    // future key-derivation change re-keys every entry cleanly.
+    // execution-strategy knobs).  The checkpoint shape fields are
+    // appended because the cached artifact includes the
+    // CheckpointStore, whose capture schedule they shape.  A format
+    // tag leads so a future key-derivation change re-keys every
+    // entry cleanly.
     hash::Fnv1a hasher;
     hasher.update(std::string_view("dfi-cache-key-v1"));
     hasher.update(telemetryConfigEcho(*this).dump());
-    hasher.update(static_cast<std::uint64_t>(useCheckpoints ? 1 : 0));
-    hasher.update(static_cast<std::uint64_t>(checkpointCount));
-    hasher.update(checkpointMemBudgetMB);
+    forEachConfigField(*this, [&hasher](const char *, const auto &value,
+                                        ConfigFieldRole role) {
+        if constexpr (std::is_integral_v<std::decay_t<decltype(value)>>) {
+            if (role == ConfigFieldRole::Shape)
+                hasher.update(static_cast<std::uint64_t>(value));
+        }
+    });
     return hasher.hexDigest();
 }
 
@@ -142,49 +147,6 @@ PreparedCampaign::approxBytes() const
     bytes += expectedOutput.size() + golden.output.size();
     bytes += checkpoints.count() * checkpoints.snapshotBoundBytes();
     return bytes;
-}
-
-void
-savePreparedCampaign(const PreparedCampaign &prep, serial::Writer &writer)
-{
-    // Writer archives never mutate (common/serial.hh); the const_cast
-    // only satisfies the shared save/load serializeState signature.
-    auto &mutable_prep = const_cast<PreparedCampaign &>(prep);
-    serial::value(writer, mutable_prep.image);
-    serial::value(writer, mutable_prep.expectedOutput);
-    serial::value(writer, mutable_prep.golden);
-    prep.checkpoints.saveState(writer);
-}
-
-std::shared_ptr<const PreparedCampaign>
-loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,
-                     std::string &error)
-{
-    if (cfg.configTweak) {
-        error = "prepared-state streams cannot carry a configTweak";
-        return nullptr;
-    }
-    uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg.coreName);
-    uarch::scaleCaches(core_cfg, cfg.cacheScale);
-
-    auto prep = std::make_shared<PreparedCampaign>();
-    serial::value(reader, prep->image);
-    serial::value(reader, prep->expectedOutput);
-    serial::value(reader, prep->golden);
-    if (!reader.ok()) {
-        error = reader.error();
-        return nullptr;
-    }
-    if (prep->image.isa != core_cfg.isa) {
-        error = "prepared-state stream targets a different ISA";
-        return nullptr;
-    }
-    prep->checkpoints.loadState(reader, core_cfg, prep->image);
-    if (!reader.ok()) {
-        error = reader.error();
-        return nullptr;
-    }
-    return prep;
 }
 
 InjectionCampaign::InjectionCampaign(CampaignConfig config)

@@ -80,7 +80,11 @@ struct ConfigError
     std::string message;
 };
 
-/** Full campaign parameters. */
+/**
+ * Full campaign parameters.  The fields that cross a process boundary
+ * (telemetry echo, cache key, service protocol) are listed once, with
+ * their wire names, in inject/config_fields.hh.
+ */
 struct CampaignConfig
 {
     std::string component = "int_regfile";
@@ -253,26 +257,6 @@ struct PreparedCampaign
      */
     std::uint64_t approxBytes() const;
 };
-
-/**
- * Serialize prepared artifacts for the service's disk cache
- * (common/serial.hh).  The stream carries only dynamic state; loading
- * reconstructs the snapshot cores from the config named by `cfg`, so
- * a stream is only meaningful under the cacheKey() that produced it —
- * pairing stream and config is the caller's contract (the service
- * names spill files by cache key).
- */
-void savePreparedCampaign(const PreparedCampaign &prep,
-                          serial::Writer &writer);
-
-/**
- * Rebuild prepared artifacts from a savePreparedCampaign() stream.
- * Returns nullptr (and sets `error`) on any mismatch or truncation;
- * `cfg` must not carry a configTweak (not serializable).
- */
-std::shared_ptr<const PreparedCampaign>
-loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,
-                     std::string &error);
 
 /**
  * One run the planner pruned instead of simulating, with the outcome

@@ -40,21 +40,9 @@
 #include <memory>
 #include <vector>
 
-namespace dfi::isa
-{
-struct Image;
-} // namespace dfi::isa
-
-namespace dfi::serial
-{
-class Reader;
-class Writer;
-} // namespace dfi::serial
-
 namespace dfi::uarch
 {
 class OooCore;
-struct CoreConfig;
 } // namespace dfi::uarch
 
 namespace dfi::inject
@@ -125,23 +113,6 @@ class CheckpointStore
 
     /** True when the budget (not targetCount) set the cap. */
     bool budgetLimited() const { return budgetLimited_; }
-
-    /**
-     * Serialize the store (policy echo, schedule, every snapshot) for
-     * the service's disk cache.  Snapshot cores are written with COW
-     * page interning, so shared pages cost their bytes once.
-     */
-    void saveState(serial::Writer &writer) const;
-
-    /**
-     * Rebuild the store from a stream produced by saveState().  Each
-     * snapshot is constructed fresh from (config, image) — the same
-     * pair the saved cores were built from — and its dynamic state
-     * overwritten.  On failure the reader's ok() turns false and the
-     * store is left empty.
-     */
-    void loadState(serial::Reader &reader, const uarch::CoreConfig &config,
-                   const isa::Image &image);
 
   private:
     void thin();

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include <fcntl.h>
@@ -13,9 +14,7 @@
 #include "common/failpoint.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/serial.hh"
-#include "inject/mask_gen.hh"
-#include "storage/fault.hh"
+#include "inject/config_fields.hh"
 
 namespace dfi::inject
 {
@@ -23,210 +22,78 @@ namespace dfi::inject
 namespace
 {
 
-bool
-faultTypeFromName(const std::string &name, dfi::FaultType &out)
-{
-    for (const dfi::FaultType type :
-         {dfi::FaultType::Transient, dfi::FaultType::Intermittent,
-          dfi::FaultType::Permanent}) {
-        if (faultTypeName(type) == name) {
-            out = type;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-populationFromName(const std::string &name, Population &out)
-{
-    for (const Population population :
-         {Population::SingleBit, Population::DoubleAdjacent,
-          Population::DoubleRandom, Population::MultiStructure}) {
-        if (populationName(population) == name) {
-            out = population;
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Typed member getters; false + error on a wrong JSON kind. */
-bool
-getUint(const json::Value &v, const std::string &key,
-        std::uint64_t &out, std::string &error)
-{
-    if (v.kind() != json::Kind::Int || v.isNegative()) {
-        error = "config." + key + ": expected an unsigned integer";
-        return false;
-    }
-    out = v.asUint();
-    return true;
-}
-
-bool
-getNumber(const json::Value &v, const std::string &key, double &out,
-          std::string &error)
-{
-    if (!v.isNumber()) {
-        error = "config." + key + ": expected a number";
-        return false;
-    }
-    out = v.asDouble();
-    return true;
-}
-
-bool
-getBool(const json::Value &v, const std::string &key, bool &out,
-        std::string &error)
-{
-    if (v.kind() != json::Kind::Bool) {
-        error = "config." + key + ": expected a boolean";
-        return false;
-    }
-    out = v.asBool();
-    return true;
-}
-
-bool
-getString(const json::Value &v, const std::string &key,
-          std::string &out, std::string &error)
-{
-    if (v.kind() != json::Kind::String) {
-        error = "config." + key + ": expected a string";
-        return false;
-    }
-    out = v.asString();
-    return true;
-}
-
 /**
- * Decode one config member.  The key set mirrors the telemetry
- * config echo plus the execution knobs a remote client may set.
+ * Decode one config field into a member of the field list's type:
+ * false with a "config.<key>: ..." error on a wrong JSON kind, an
+ * unknown enum name, or an integer the member cannot hold.
  */
+template <class T>
+bool
+decodeField(const json::Value &v, const std::string &key, T &out,
+            std::string &error)
+{
+    const auto fail = [&](const std::string &why) {
+        error = "config." + key + ": " + why;
+        return false;
+    };
+    if constexpr (std::is_same_v<T, bool>) {
+        if (v.kind() != json::Kind::Bool)
+            return fail("expected a boolean");
+        out = v.asBool();
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!v.isNumber())
+            return fail("expected a number");
+        out = v.asDouble();
+    } else if constexpr (std::is_integral_v<T>) {
+        if (v.kind() != json::Kind::Int || v.isNegative())
+            return fail("expected an unsigned integer");
+        if (v.asUint() > std::numeric_limits<T>::max())
+            return fail("out of range");
+        out = static_cast<T>(v.asUint());
+    } else {
+        if (v.kind() != json::Kind::String)
+            return fail("expected a string");
+        const std::string &name = v.asString();
+        bool known = true;
+        if constexpr (std::is_same_v<T, std::string>)
+            out = name;
+        else if constexpr (std::is_same_v<T, dfi::FaultType>)
+            known = faultTypeFromName(name, out);
+        else
+            known = populationFromName(name, out);
+        if (!known)
+            return fail("unknown value '" + name + "'");
+    }
+    return true;
+}
+
+/** Decode one config member by its key in the field list. */
 bool
 decodeConfigMember(const std::string &key, const json::Value &v,
                    CampaignConfig &cfg, std::string &error)
 {
-    std::uint64_t u = 0;
-    std::string s;
-    if (key == "component")
-        return getString(v, key, cfg.component, error);
-    if (key == "benchmark")
-        return getString(v, key, cfg.benchmark, error);
-    if (key == "scale") {
-        if (!getUint(v, key, u, error))
-            return false;
-        cfg.scale = static_cast<std::uint32_t>(u);
-        return true;
-    }
-    if (key == "core")
-        return getString(v, key, cfg.coreName, error);
-    if (key == "injections")
-        return getUint(v, key, cfg.numInjections, error);
-    if (key == "confidence")
-        return getNumber(v, key, cfg.confidence, error);
-    if (key == "margin")
-        return getNumber(v, key, cfg.margin, error);
-    if (key == "exhaustive")
-        return getBool(v, key, cfg.exhaustive, error);
-    if (key == "fault_type") {
-        if (!getString(v, key, s, error))
-            return false;
-        if (!faultTypeFromName(s, cfg.faultType)) {
-            error = "config.fault_type: unknown fault type '" + s +
-                    "'";
-            return false;
+    bool known = false;
+    bool ok = false;
+    forEachConfigField(cfg, [&](const char *name, auto &member,
+                                ConfigFieldRole) {
+        if (!known && key == name) {
+            known = true;
+            ok = decodeField(v, key, member, error);
         }
-        return true;
-    }
-    if (key == "population") {
-        if (!getString(v, key, s, error))
-            return false;
-        if (!populationFromName(s, cfg.population)) {
-            error = "config.population: unknown population '" + s +
-                    "'";
-            return false;
-        }
-        return true;
-    }
-    if (key == "intermittent_min")
-        return getUint(v, key, cfg.intermittentMin, error);
-    if (key == "intermittent_max")
-        return getUint(v, key, cfg.intermittentMax, error);
-    if (key == "cache_scale")
-        return getNumber(v, key, cfg.cacheScale, error);
-    if (key == "timeout_factor")
-        return getNumber(v, key, cfg.timeoutFactor, error);
-    if (key == "early_stop_invalid_entry")
-        return getBool(v, key, cfg.earlyStopInvalidEntry, error);
-    if (key == "early_stop_overwrite")
-        return getBool(v, key, cfg.earlyStopOverwrite, error);
-    if (key == "seed")
-        return getUint(v, key, cfg.seed, error);
-    if (key == "prune")
-        return getBool(v, key, cfg.prune, error);
-    if (key == "jobs") {
-        if (!getUint(v, key, u, error))
-            return false;
-        cfg.jobs = static_cast<std::uint32_t>(u);
-        return true;
-    }
-    if (key == "telemetry_timing")
-        return getBool(v, key, cfg.telemetryTiming, error);
-    if (key == "use_checkpoints")
-        return getBool(v, key, cfg.useCheckpoints, error);
-    if (key == "checkpoints") {
-        if (!getUint(v, key, u, error))
-            return false;
-        cfg.checkpointCount = static_cast<std::uint32_t>(u);
-        return true;
-    }
-    if (key == "checkpoint_budget_mb")
-        return getUint(v, key, cfg.checkpointMemBudgetMB, error);
-    error = "config." + key + ": unknown key";
-    return false;
+    });
+    if (!known)
+        error = "config." + key + ": unknown key";
+    return ok;
 }
 
 json::Value
 encodeConfig(const CampaignConfig &cfg)
 {
     json::Value obj = json::Value::object();
-    obj.set("component", json::Value::string(cfg.component));
-    obj.set("benchmark", json::Value::string(cfg.benchmark));
-    obj.set("scale", json::Value::unsignedInt(cfg.scale));
-    obj.set("core", json::Value::string(cfg.coreName));
-    obj.set("injections",
-            json::Value::unsignedInt(cfg.numInjections));
-    obj.set("confidence", json::Value::number(cfg.confidence));
-    obj.set("margin", json::Value::number(cfg.margin));
-    obj.set("exhaustive", json::Value::boolean(cfg.exhaustive));
-    obj.set("fault_type",
-            json::Value::string(faultTypeName(cfg.faultType)));
-    obj.set("population",
-            json::Value::string(populationName(cfg.population)));
-    obj.set("intermittent_min",
-            json::Value::unsignedInt(cfg.intermittentMin));
-    obj.set("intermittent_max",
-            json::Value::unsignedInt(cfg.intermittentMax));
-    obj.set("cache_scale", json::Value::number(cfg.cacheScale));
-    obj.set("timeout_factor",
-            json::Value::number(cfg.timeoutFactor));
-    obj.set("early_stop_invalid_entry",
-            json::Value::boolean(cfg.earlyStopInvalidEntry));
-    obj.set("early_stop_overwrite",
-            json::Value::boolean(cfg.earlyStopOverwrite));
-    obj.set("seed", json::Value::unsignedInt(cfg.seed));
-    obj.set("prune", json::Value::boolean(cfg.prune));
-    obj.set("jobs", json::Value::unsignedInt(cfg.jobs));
-    obj.set("telemetry_timing",
-            json::Value::boolean(cfg.telemetryTiming));
-    obj.set("use_checkpoints",
-            json::Value::boolean(cfg.useCheckpoints));
-    obj.set("checkpoints",
-            json::Value::unsignedInt(cfg.checkpointCount));
-    obj.set("checkpoint_budget_mb",
-            json::Value::unsignedInt(cfg.checkpointMemBudgetMB));
+    forEachConfigField(cfg, [&obj](const char *key, const auto &member,
+                                   ConfigFieldRole) {
+        obj.set(key, configFieldJson(member));
+    });
     return obj;
 }
 
@@ -441,9 +308,15 @@ decodeServiceResponse(const json::Value &line, ServiceResponse &out,
 namespace
 {
 
-/** Version tags for the two disk-cache file formats. */
-constexpr const char *kPrepCacheTag = "dfi-prep-cache-v1";
+/** Version tag of the response-memo file format. */
 constexpr const char *kResponseCacheKind = "dfi-response-cache-v1";
+
+/**
+ * Graceful degradation: after this many *consecutive* disk-cache I/O
+ * failures the disk tier disables itself for the rest of the process
+ * (the memory tier keeps serving).  A miss is not a failure.
+ */
+constexpr std::uint32_t kDiskFailureLimit = 3;
 
 /** True when the failpoint fires with an Error action. */
 bool
@@ -459,8 +332,9 @@ chaosError(const char *site)
  * power cut can ever publish a torn or empty file under `path`:
  * rename is only atomic against bytes that are already durable, and
  * the rename itself is only durable once the directory entry is.
- * (The digest framing remains the backstop — a torn file reads as a
- * cold miss — but it should never be the first line of defence.)
+ * (Strict decoding remains the backstop — a torn memo fails to parse
+ * and reads as a cold miss — but it should never be the first line
+ * of defence.)
  *
  * Chaos seams: `cache.write`, `cache.fsync`, `cache.rename`.
  */
@@ -637,72 +511,9 @@ CampaignService::responseKey(const std::string &cacheKey, bool prune)
 }
 
 std::string
-CampaignService::prepPath(const std::string &key) const
-{
-    return opts_.cacheDir + "/prep_" + key + ".bin";
-}
-
-std::string
 CampaignService::responsePath(const std::string &key) const
 {
     return opts_.cacheDir + "/resp_" + key + ".json";
-}
-
-std::shared_ptr<const PreparedCampaign>
-CampaignService::loadPreparedFromDisk(const CampaignConfig &cfg,
-                                      const std::string &key,
-                                      bool &io_error) const
-{
-    io_error = false;
-    std::string payload;
-    const FileRead read = readFileBytes(prepPath(key), payload);
-    if (read != FileRead::Ok) {
-        io_error = read == FileRead::IoError;
-        return nullptr;
-    }
-    if (payload.size() < sizeof(std::uint64_t))
-        return nullptr;
-
-    // The trailing digest frames the stream: a truncated or corrupt
-    // spill file must read as a cold miss, never as wrong state.
-    std::uint64_t digest = 0;
-    std::memcpy(&digest,
-                payload.data() + payload.size() - sizeof digest,
-                sizeof digest);
-    payload.resize(payload.size() - sizeof digest);
-    if (hash::fnv1a(payload) != digest)
-        return nullptr;
-
-    serial::Reader reader(payload);
-    std::string tag;
-    std::string stored_key;
-    serial::value(reader, tag);
-    serial::value(reader, stored_key);
-    if (!reader.ok() || tag != kPrepCacheTag || stored_key != key)
-        return nullptr;
-    std::string error;
-    return loadPreparedCampaign(cfg, reader, error);
-}
-
-bool
-CampaignService::storePreparedToDisk(
-    const std::string &key, const PreparedCampaign &prep) const
-{
-    serial::Writer writer;
-    std::string tag = kPrepCacheTag;
-    serial::value(writer, tag);
-    std::string stored_key = key;
-    serial::value(writer, stored_key);
-    savePreparedCampaign(prep, writer);
-    // A failed save (serial.write) must never persist: the digest
-    // would frame the truncated bytes as a valid archive.
-    if (!writer.ok())
-        return false;
-    std::string payload = writer.buffer();
-    const std::uint64_t digest = hash::fnv1a(payload);
-    payload.append(reinterpret_cast<const char *>(&digest),
-                   sizeof digest);
-    return writeFileAtomic(prepPath(key), payload);
 }
 
 CampaignService::DiskRead
@@ -782,8 +593,7 @@ CampaignService::noteDiskOutcome(bool ok)
     }
     ++stats_.diskErrors;
     ++diskFailStreak_;
-    if (opts_.diskFailureLimit != 0 && !diskDisabled_ &&
-        diskFailStreak_ >= opts_.diskFailureLimit) {
+    if (!diskDisabled_ && diskFailStreak_ >= kDiskFailureLimit) {
         diskDisabled_ = true;
         warn("disk cache disabled after %s consecutive I/O "
              "failures; serving from memory only",
@@ -834,11 +644,10 @@ CampaignService::execute(const ServiceRequest &request,
         }
     }
 
-    // With no memory budget *and* no disk directory there is nothing
-    // to share, so single-flight dedup is off too (every request
-    // prepares cold — the documented cacheBudgetBytes == 0 contract).
-    const bool cache_enabled =
-        opts_.cacheBudgetBytes > 0 || !opts_.cacheDir.empty();
+    // With no memory budget there is nothing to share, so
+    // single-flight dedup is off too (every request prepares cold —
+    // the documented cacheBudgetBytes == 0 contract).
+    const bool cache_enabled = opts_.cacheBudgetBytes > 0;
 
     std::shared_ptr<const PreparedCampaign> prep;
     std::shared_ptr<PrepFlight> flight;
@@ -889,34 +698,12 @@ CampaignService::execute(const ServiceRequest &request,
             throw std::bad_alloc();
 
         InjectionCampaign campaign(cfg);
-        if (prep == nullptr && leader && diskEnabled()) {
-            bool io_error = false;
-            prep = loadPreparedFromDisk(cfg, response.cacheKey,
-                                        io_error);
-            noteDiskOutcome(!io_error);
-            if (prep != nullptr) {
-                response.cacheSource = "disk";
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.diskHits;
-            }
-        }
         if (prep != nullptr) {
             campaign.adoptPrepared(prep);
             response.cacheHit = true;
         }
         if (leader) {
-            if (prep == nullptr) {
-                prep = campaign.prepared();
-                if (diskEnabled()) {
-                    const bool stored = storePreparedToDisk(
-                        response.cacheKey, *prep);
-                    noteDiskOutcome(stored);
-                    if (stored) {
-                        std::lock_guard<std::mutex> lock(mu_);
-                        ++stats_.diskStores;
-                    }
-                }
-            }
+            prep = campaign.prepared();
             cacheInsert(response.cacheKey, prep);
             publishFlight(response.cacheKey, *flight, prep, "");
             published = true;
@@ -1074,10 +861,6 @@ CampaignService::statsJson() const
               json::Value::unsignedInt(opts_.cacheBudgetBytes));
     cache.set("coalesced",
               json::Value::unsignedInt(stats_.coalesced));
-    cache.set("disk_hits",
-              json::Value::unsignedInt(stats_.diskHits));
-    cache.set("disk_stores",
-              json::Value::unsignedInt(stats_.diskStores));
     cache.set("response_hits",
               json::Value::unsignedInt(stats_.responseHits));
     cache.set("response_stores",

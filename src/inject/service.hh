@@ -26,19 +26,19 @@
  *    `jobs` threads internally), with a per-client in-flight quota
  *    and a global admission capacity so one client cannot starve the
  *    fleet;
- *  - with Options::cacheDir set, prepared state spills to disk
- *    (common/serial.hh streams framed by an FNV-1a digest) and whole
- *    memoized responses persist as JSON, so a restarted daemon serves
- *    warm hits immediately and an exact repeat request returns the
- *    recorded response without re-executing;
+ *  - with Options::cacheDir set, whole memoized responses persist
+ *    as JSON, so an exact repeat request — even to a restarted
+ *    daemon — returns the recorded response without re-executing.
+ *    Prepared state lives in memory only: re-preparing costs under a
+ *    second, against tens of seconds of faulty-run simulation;
  *  - progress streams back through the campaign's ordered-commit
  *    reporting, so a served campaign emits the same (done, total)
  *    sequence a local run would.
  *
  * Determinism contract: a served campaign's telemetry artifacts are
  * byte-identical to a local `dfi-campaign` run of the same config —
- * warm or cold, concurrent or serial.  The prepared-state caches
- * only ever short-circuit the golden pass, never the faulty runs,
+ * warm or cold, concurrent or serial.  The prepared-state cache
+ * only ever short-circuits the golden pass, never the faulty runs,
  * and checkpoint reuse is already proven byte-exact by the
  * golden-diff CI legs; the response memo goes one step further and
  * replays the recorded bytes of a previous execution verbatim (it is
@@ -90,10 +90,12 @@ struct ServiceRequest
 
 /**
  * Decode a request line.  Strict: unknown operations, unknown config
- * keys, and type mismatches are errors (a service must not guess at
- * traffic it does not understand).  Config keys mirror the telemetry
- * config echo plus the execution knobs a remote client may set
- * (jobs, prune, checkpoint shape); telemetry paths, shard, and
+ * keys, type mismatches, and integers too wide for their field are
+ * errors (a service must not guess at traffic it does not
+ * understand).  Config keys are the field list of
+ * inject/config_fields.hh: the telemetry config echo plus the
+ * execution knobs a remote client may set (jobs, prune, checkpoint
+ * shape); telemetry paths, shard, and
  * resume are deliberately not part of the protocol — artifacts
  * travel back in the response and land wherever the *client* says.
  */
@@ -129,8 +131,8 @@ struct ServiceResponse
     /**
      * Where the warm artifacts came from: "none" (cold prepare),
      * "memory" (LRU), "flight" (joined a racing request's prepare),
-     * "disk" (restart-persistent spill), or "response" (the whole
-     * memoized response was served without executing).
+     * or "response" (the whole memoized response was served from
+     * --cache-dir without executing).
      */
     std::string cacheSource = "none";
     std::uint64_t runsTotal = 0;
@@ -175,20 +177,12 @@ class CampaignService
         std::uint32_t workers = 1;
 
         /**
-         * Directory for the restart-persistent disk cache (prepared
-         * state spills + memoized responses).  Empty disables disk
-         * persistence.
+         * Directory for the restart-persistent response memo.  Empty
+         * disables disk persistence.  After 3 consecutive disk I/O
+         * failures the disk tier disables itself for the rest of the
+         * process (counted in stats; the memory tier keeps serving).
          */
         std::string cacheDir;
-
-        /**
-         * Graceful degradation: after this many *consecutive*
-         * disk-cache I/O failures the disk tier disables itself for
-         * the rest of the process (counted in stats; the memory
-         * tier keeps serving).  A miss — absent or invalid file —
-         * is not a failure.  0 never disables.
-         */
-        std::uint32_t diskFailureLimit = 3;
     };
 
     struct CacheStats
@@ -202,8 +196,6 @@ class CampaignService
         /** Hits that joined another request's in-flight prepare. */
         std::uint64_t coalesced = 0;
 
-        std::uint64_t diskHits = 0;
-        std::uint64_t diskStores = 0;
         std::uint64_t responseHits = 0;
         std::uint64_t responseStores = 0;
 
@@ -293,12 +285,11 @@ class CampaignService
     static std::string responseKey(const std::string &cacheKey,
                                    bool prune);
 
-    std::string prepPath(const std::string &key) const;
     std::string responsePath(const std::string &key) const;
 
     /**
-     * Outcome of a disk-cache lookup.  A Miss (absent, truncated, or
-     * digest-failed file) is the cold-fallback contract working as
+     * Outcome of a response-memo lookup.  A Miss (absent, truncated,
+     * or undecodable file) is the cold-fallback contract working as
      * designed; an IoError is the storage itself failing and feeds
      * the degradation counter.
      */
@@ -309,12 +300,6 @@ class CampaignService
         IoError,
     };
 
-    std::shared_ptr<const PreparedCampaign>
-    loadPreparedFromDisk(const CampaignConfig &cfg,
-                         const std::string &key,
-                         bool &io_error) const;
-    bool storePreparedToDisk(const std::string &key,
-                             const PreparedCampaign &prep) const;
     DiskRead loadResponseFromDisk(const std::string &key, bool prune,
                                   ServiceResponse &out) const;
     bool storeResponseToDisk(const std::string &key, bool prune,
@@ -326,7 +311,7 @@ class CampaignService
     /**
      * Feed the degradation policy one disk outcome: success resets
      * the consecutive-failure streak, failure advances it and trips
-     * diskDisabled_ at Options::diskFailureLimit.
+     * diskDisabled_ at the limit.
      */
     void noteDiskOutcome(bool ok);
 

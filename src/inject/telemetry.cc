@@ -9,7 +9,7 @@
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "common/version.hh"
-#include "inject/mask_gen.hh"
+#include "inject/config_fields.hh"
 
 namespace dfi::inject
 {
@@ -268,39 +268,16 @@ TelemetryRecord::toJson() const
 json::Value
 telemetryConfigEcho(const CampaignConfig &config)
 {
-    json::Value echo = json::Value::object();
-    echo.set("component", json::Value::string(config.component));
-    echo.set("benchmark", json::Value::string(config.benchmark));
-    echo.set("scale", json::Value::unsignedInt(config.scale));
-    echo.set("core", json::Value::string(config.coreName));
-    echo.set("injections",
-             json::Value::unsignedInt(config.numInjections));
-    echo.set("confidence", json::Value::number(config.confidence));
-    echo.set("margin", json::Value::number(config.margin));
-    // Outcome-relevant: exhaustive enumeration plans a different run
-    // set than sampling (the `prune` strategy knob, by contrast, is
-    // volatile — it never changes classifications).
-    echo.set("exhaustive", json::Value::boolean(config.exhaustive));
-    echo.set("fault_type",
-             json::Value::string(faultTypeName(config.faultType)));
-    echo.set("population",
-             json::Value::string(populationName(config.population)));
-    echo.set("intermittent_min",
-             json::Value::unsignedInt(config.intermittentMin));
-    echo.set("intermittent_max",
-             json::Value::unsignedInt(config.intermittentMax));
-    echo.set("cache_scale", json::Value::number(config.cacheScale));
-    echo.set("timeout_factor",
-             json::Value::number(config.timeoutFactor));
-    echo.set("early_stop_invalid_entry",
-             json::Value::boolean(config.earlyStopInvalidEntry));
-    echo.set("early_stop_overwrite",
-             json::Value::boolean(config.earlyStopOverwrite));
     // Execution-strategy knobs (checkpointing, jobs, budget, shard,
     // resume) are deliberately absent: they cannot change outcomes,
     // and leaving them out keeps artifacts byte-identical across
     // strategies — shard streams share the unsharded header.
-    echo.set("seed", json::Value::unsignedInt(config.seed));
+    json::Value echo = json::Value::object();
+    forEachConfigField(config, [&echo](const char *key, const auto &value,
+                                       ConfigFieldRole role) {
+        if (role == ConfigFieldRole::Outcome)
+            echo.set(key, configFieldJson(value));
+    });
     return echo;
 }
 

@@ -29,24 +29,4 @@ Image::makeMemory() const
     return memory;
 }
 
-template <class Ar>
-void
-Image::serializeState(Ar &ar)
-{
-    serial::value(ar, isa);
-    serial::value(ar, codeBase);
-    serial::value(ar, entry);
-    serial::value(ar, code);
-    serial::value(ar, dataBase);
-    serial::value(ar, data);
-    serial::value(ar, bssBase);
-    serial::value(ar, bssSize);
-    serial::value(ar, memSize);
-    serial::value(ar, stackTop);
-    serial::value(ar, symbols);
-}
-
-template void Image::serializeState(serial::Writer &);
-template void Image::serializeState(serial::Reader &);
-
 } // namespace dfi::isa

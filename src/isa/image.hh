@@ -44,9 +44,6 @@ struct Image
 
     /** Build a guest memory with the image loaded. */
     syskit::GuestMemory makeMemory() const;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 } // namespace dfi::isa

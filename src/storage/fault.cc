@@ -21,6 +21,20 @@ faultTypeName(FaultType type)
     panic("faultTypeName: bad FaultType %s", static_cast<int>(type));
 }
 
+bool
+faultTypeFromName(const std::string &name, FaultType &out)
+{
+    for (const FaultType type : {FaultType::Transient,
+                                 FaultType::Intermittent,
+                                 FaultType::Permanent}) {
+        if (faultTypeName(type) == name) {
+            out = type;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::string
 FaultMask::toLine() const
 {

@@ -170,13 +170,6 @@ class FaultableArray
      */
     void setObserver(AccessObserver *observer) { observer_ = observer; }
 
-    /**
-     * Serialize dynamic state (backing words + watch automaton).
-     * Geometry is construction-time data: loading verifies it against
-     * the already-constructed array and fails the reader on mismatch.
-     */
-    template <class Ar> void serializeState(Ar &ar);
-
     /** Backing pages (checkpoint memory-budget accounting). */
     std::size_t backingPages() const { return words_.pageCount(); }
     /** Pages still shared with a checkpoint or sibling copy. */

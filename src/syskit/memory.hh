@@ -84,9 +84,6 @@ class GuestMemory
     void peekBytes(std::uint32_t addr, std::uint32_t len,
                    std::uint8_t *out) const;
 
-    /** Serialize the byte store and segment limit (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
     /** Backing pages (checkpoint memory-budget accounting). */
     std::size_t backingPages() const { return bytes_.pageCount(); }
     /** Pages still shared with a checkpoint or sibling copy. */

@@ -1,7 +1,6 @@
 #include "syskit/run_record.hh"
 
 #include "common/logging.hh"
-#include "common/serial.hh"
 
 namespace dfi::syskit
 {
@@ -25,35 +24,5 @@ terminationName(Termination term)
     }
     panic("terminationName: bad value %s", static_cast<int>(term));
 }
-
-template <class Ar>
-void
-DueEvent::serializeState(Ar &ar)
-{
-    serial::value(ar, kind);
-    serial::value(ar, pc);
-}
-
-template void DueEvent::serializeState(serial::Writer &);
-template void DueEvent::serializeState(serial::Reader &);
-
-template <class Ar>
-void
-RunRecord::serializeState(Ar &ar)
-{
-    serial::value(ar, term);
-    serial::value(ar, exitCode);
-    serial::value(ar, output);
-    serial::value(ar, dueEvents);
-    serial::value(ar, detail);
-    serial::value(ar, cycles);
-    serial::value(ar, instructions);
-    serial::value(ar, earlyStopMasked);
-    serial::value(ar, earlyStopReason);
-    serial::value(ar, stats);
-}
-
-template void RunRecord::serializeState(serial::Writer &);
-template void RunRecord::serializeState(serial::Reader &);
 
 } // namespace dfi::syskit

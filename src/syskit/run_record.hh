@@ -40,9 +40,6 @@ struct DueEvent
 {
     std::string kind;   //!< e.g. "alignment-fixup", "div-zero", "efault"
     std::uint64_t pc = 0;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 /** Complete record of one run. */
@@ -60,9 +57,6 @@ struct RunRecord
     dfi::StatSet stats;                //!< simulator runtime statistics
 
     bool completed() const { return term == Termination::Exited; }
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 } // namespace dfi::syskit

@@ -50,9 +50,6 @@ class TournamentPredictor
     /** Train with the actual outcome and update histories. */
     void update(std::uint32_t pc, bool taken);
 
-    /** Serialize predictor tables and history (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
   private:
     std::uint32_t localIndex(std::uint32_t pc) const;
     std::uint32_t globalIndex(std::uint32_t pc) const;
@@ -93,9 +90,6 @@ class Btb
     dfi::FaultableArray &array() { return array_; }
     bool entryLive(std::size_t index) const;
 
-    /** Serialize entry array and LRU books (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
   private:
     std::uint32_t setOf(std::uint32_t pc) const;
     std::uint32_t tagOf(std::uint32_t pc) const;
@@ -121,9 +115,6 @@ class Ras
     dfi::FaultableArray &array() { return array_; }
     std::uint32_t depth() const { return depth_; }
     std::uint32_t capacity() const { return entries_; }
-
-    /** Serialize stack state (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 
   private:
     std::uint32_t entries_ = 16;

@@ -185,19 +185,4 @@ Cache::lineValid(std::uint32_t line) const
     return valid_.peekBit(line, 0);
 }
 
-template <class Ar>
-void
-Cache::serializeState(Ar &ar)
-{
-    serial::value(ar, tags_);
-    serial::value(ar, data_);
-    serial::value(ar, valid_);
-    serial::value(ar, dirty_);
-    serial::value(ar, lruStamp_);
-    serial::value(ar, stamp_);
-}
-
-template void Cache::serializeState(serial::Writer &);
-template void Cache::serializeState(serial::Reader &);
-
 } // namespace dfi::uarch

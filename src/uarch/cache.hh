@@ -111,9 +111,6 @@ class Cache
     dfi::FaultableArray &dataArray() { return data_; }
     dfi::FaultableArray &validArray() { return valid_; }
 
-    /** Serialize dynamic state (arrays, dirty/LRU books). */
-    template <class Ar> void serializeState(Ar &ar);
-
     /** Upper bound on checkpointable state (budget accounting). */
     std::uint64_t
     approxStateBytes() const

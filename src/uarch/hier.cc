@@ -305,19 +305,4 @@ MemHierarchy::kernelTouchInstr(std::uint32_t pa, dfi::StatSet &stats)
                      false, true, stats);
 }
 
-template <class Ar>
-void
-MemHierarchy::serializeState(Ar &ar)
-{
-    serial::value(ar, memory_);
-    serial::value(ar, l1i_);
-    serial::value(ar, l1d_);
-    serial::value(ar, l2_);
-    serial::value(ar, pfD_);
-    serial::value(ar, pfI_);
-}
-
-template void MemHierarchy::serializeState(serial::Writer &);
-template void MemHierarchy::serializeState(serial::Reader &);
-
 } // namespace dfi::uarch

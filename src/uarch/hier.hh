@@ -121,9 +121,6 @@ class MemHierarchy
                l1d_.approxStateBytes() + l2_.approxStateBytes();
     }
 
-    /** Serialize dynamic state of memory and all levels (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
   private:
     /** Access one-line-contained span through a given L1. */
     Access accessLine(Cache &l1, std::uint32_t pa, std::uint32_t count,

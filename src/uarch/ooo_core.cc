@@ -1492,110 +1492,4 @@ OooCore::approxStateBytes() const
     return bytes;
 }
 
-template <class Ar>
-void
-Uop::serializeState(Ar &ar)
-{
-    serial::value(ar, valid);
-    serial::value(ar, op);
-    serial::value(ar, pc);
-    serial::value(ar, npc);
-    serial::value(ar, seq);
-    serial::value(ar, stage);
-    serial::value(ar, readyCycle);
-    serial::value(ar, archDst);
-    serial::value(ar, archDst2);
-    serial::value(ar, physDst);
-    serial::value(ar, physDst2);
-    serial::value(ar, oldPhys);
-    serial::value(ar, oldPhys2);
-    serial::value(ar, physSrc1);
-    serial::value(ar, physSrc2);
-    serial::value(ar, srcVal1);
-    serial::value(ar, srcVal2);
-    serial::value(ar, issuedPhysDst);
-    serial::value(ar, result);
-    serial::value(ar, result2);
-    serial::value(ar, isLoad);
-    serial::value(ar, isStore);
-    serial::value(ar, addrResolved);
-    serial::value(ar, loadDone);
-    serial::value(ar, memVA);
-    serial::value(ar, memPA);
-    serial::value(ar, memWidth);
-    serial::value(ar, lsqSlot);
-    serial::value(ar, iqSlot);
-    serial::value(ar, isBranch);
-    serial::value(ar, predNextPc);
-    serial::value(ar, actualTaken);
-    serial::value(ar, actualNextPc);
-    serial::value(ar, exc);
-    serial::value(ar, dueDivZero);
-    serial::value(ar, dueMisaligned);
-    serial::value(ar, isSyscall);
-}
-
-template void Uop::serializeState(serial::Writer &);
-template void Uop::serializeState(serial::Reader &);
-
-template <class Ar>
-void
-FetchedInst::serializeState(Ar &ar)
-{
-    serial::value(ar, op);
-    serial::value(ar, pc);
-    serial::value(ar, predNextPc);
-}
-
-template void FetchedInst::serializeState(serial::Writer &);
-template void FetchedInst::serializeState(serial::Reader &);
-
-template <class Ar>
-void
-OooCore::serializeState(Ar &ar)
-{
-    // cfg_ is construction-time data and is deliberately not part of
-    // the stream; the loader constructs the core from the same config
-    // first.  Every member below is dynamic state, listed in
-    // declaration order.
-    serial::value(ar, stats_);
-    serial::value(ar, record_);
-    serial::value(ar, os_);
-    serial::value(ar, finished_);
-    serial::value(ar, cycle_);
-    serial::value(ar, seqGen_);
-    serial::value(ar, committed_);
-    serial::value(ar, hier_);
-    serial::value(ar, itlb_);
-    serial::value(ar, dtlb_);
-    serial::value(ar, predictor_);
-    serial::value(ar, btb_);
-    serial::value(ar, btbIndirect_);
-    serial::value(ar, ras_);
-    serial::value(ar, fetchPc_);
-    serial::value(ar, fetchReadyCycle_);
-    serial::value(ar, fetchQueue_);
-    serial::value(ar, intRf_);
-    serial::value(ar, fpRf_);
-    serial::value(ar, renameMap_);
-    serial::value(ar, commitMap_);
-    serial::value(ar, freeList_);
-    serial::value(ar, physFree_);
-    serial::value(ar, physReady_);
-    serial::value(ar, rob_);
-    serial::value(ar, robHead_);
-    serial::value(ar, robCount_);
-    serial::value(ar, iqArray_);
-    serial::value(ar, iqBusy_);
-    serial::value(ar, lsqData_);
-    serial::value(ar, lqData_);
-    serial::value(ar, sqData_);
-    serial::value(ar, lqBusy_);
-    serial::value(ar, sqBusy_);
-    serial::value(ar, frontendStallUntil_);
-}
-
-template void OooCore::serializeState(serial::Writer &);
-template void OooCore::serializeState(serial::Reader &);
-
 } // namespace dfi::uarch

@@ -120,9 +120,6 @@ struct Uop
     bool dueMisaligned = false;
 
     bool isSyscall = false;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 /** A decoded-and-predicted instruction waiting for rename. */
@@ -131,9 +128,6 @@ struct FetchedInst
     isa::MacroOp op;
     std::uint32_t pc = 0;
     std::uint32_t predNextPc = 0;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 /** The core. */
@@ -182,13 +176,6 @@ class OooCore
      * memory image and cache arrays dominate by construction.
      */
     std::uint64_t approxStateBytes() const;
-
-    /**
-     * Serialize every dynamic member (cache spill).  Geometry lives in
-     * CoreConfig: loading requires a core freshly constructed from the
-     * same (config, image) pair, whose state is then overwritten.
-     */
-    template <class Ar> void serializeState(Ar &ar);
 
   private:
     // Pipeline stages (called in reverse order inside tick()).

@@ -52,14 +52,4 @@ Tlb::entryLive(std::size_t index) const
     return array_.peekBit(index, 0);
 }
 
-template <class Ar>
-void
-Tlb::serializeState(Ar &ar)
-{
-    serial::value(ar, array_);
-}
-
-template void Tlb::serializeState(serial::Writer &);
-template void Tlb::serializeState(serial::Reader &);
-
 } // namespace dfi::uarch

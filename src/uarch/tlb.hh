@@ -44,9 +44,6 @@ class Tlb
     /** True when entry `index` currently holds a mapping. */
     bool entryLive(std::size_t index) const;
 
-    /** Serialize the entry array (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
   private:
     std::string name_;
     std::uint32_t entries_ = 0;

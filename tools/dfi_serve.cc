@@ -8,17 +8,18 @@
  * simulated once and reused from a content-addressed warm cache
  * (inject/service.hh).  Requests admit FIFO with per-client quotas
  * onto `--workers` concurrent execution slots; `--cache-dir`
- * persists prepared state and memoized responses across restarts;
+ * persists memoized responses across restarts;
  * SIGTERM/SIGINT drain gracefully (finish admitted requests, refuse
  * new ones, then exit).  A socket path already served by a live
  * daemon is refused, never hijacked.
  *
  * Client mode (`--connect`) submits one request and exits: campaign
- * flags mirror dfi-campaign, progress streams to stderr, and
- * `--telemetry-out BASE` writes the returned artifacts to
- * BASE.jsonl/BASE.summary.json — byte-identical to what a local
- * `dfi-campaign --telemetry-out` run would produce, which is what
- * lets CI `dfi-diff --exact` served output against results/golden/.
+ * flags are dfi-campaign's own (inject/config_fields.hh), progress
+ * streams to stderr, and `--telemetry-out BASE` writes the returned
+ * artifacts to BASE.jsonl/BASE.summary.json — byte-identical to what
+ * a local `dfi-campaign --telemetry-out` run would produce, which is
+ * what lets CI `dfi-diff --exact` served output against
+ * results/golden/.
  *
  * Protocol: one request per connection, newline-delimited JSON both
  * ways (`dfi-request` in; zero or more `dfi-progress` lines and one
@@ -74,6 +75,7 @@
 #include "common/netio.hh"
 #include "common/rng.hh"
 #include "common/version.hh"
+#include "inject/config_fields.hh"
 #include "inject/service.hh"
 
 using namespace dfi;
@@ -683,43 +685,6 @@ clientMain(const std::string &socket_path,
     }
 }
 
-bool
-decodeFaultType(const std::string &text, FaultType &out,
-                std::string &error)
-{
-    if (text == "transient")
-        out = FaultType::Transient;
-    else if (text == "intermittent")
-        out = FaultType::Intermittent;
-    else if (text == "permanent")
-        out = FaultType::Permanent;
-    else {
-        error = "expected transient | intermittent | permanent";
-        return false;
-    }
-    return true;
-}
-
-bool
-decodePopulation(const std::string &text, Population &out,
-                 std::string &error)
-{
-    if (text == "single")
-        out = Population::SingleBit;
-    else if (text == "double-adjacent")
-        out = Population::DoubleAdjacent;
-    else if (text == "double-random")
-        out = Population::DoubleRandom;
-    else if (text == "multi-structure")
-        out = Population::MultiStructure;
-    else {
-        error = "expected single | double-adjacent | double-random | "
-                "multi-structure";
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -740,8 +705,6 @@ main(int argc, char **argv)
 
     ServiceRequest request;
     CampaignConfig &cfg = request.config;
-    std::uint64_t scale = cfg.scale;
-    std::uint64_t checkpoint_count = cfg.checkpointCount;
 
     cli::FlagSet flags("dfi-serve", "--socket PATH | --connect PATH "
                                     "[options]");
@@ -766,8 +729,9 @@ main(int argc, char **argv)
                  &workers,
                  std::numeric_limits<std::uint32_t>::max());
     flags.text("--cache-dir", "DIR",
-               "persist prepared state and memoized\n"
-               "responses here across restarts",
+               "persist memoized responses here across\n"
+               "restarts (exact repeats are replayed\n"
+               "without executing)",
                &cache_dir);
     flags.uint64("--idle-timeout-ms", "MS",
                  "drop a connection that sends no\n"
@@ -825,76 +789,12 @@ main(int argc, char **argv)
                "DFI_FAILPOINTS environment variable)",
                &failpoints_spec);
 
-    flags.section("campaign request (mirrors dfi-campaign)");
-    flags.text("--core", "NAME", "marss-x86 | gem5-x86 | gem5-arm",
-               &cfg.coreName);
-    flags.text("--benchmark", "NAME",
-               "one of the ten workloads (or 'micro')",
-               &cfg.benchmark);
-    flags.text("--component", "NAME", "injection target",
-               &cfg.component);
-    flags.uint64("--scale", "N", "workload input scale (default 1)",
-                 &scale, std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--injections", "N",
-                 "number of runs (default: derive from\n"
-                 "--confidence/--margin)",
-                 &cfg.numInjections);
-    flags.number("--confidence", "P",
-                 "sampling confidence (default 0.99)",
-                 &cfg.confidence);
-    flags.number("--margin", "E",
-                 "sampling error margin (default 0.03)", &cfg.margin);
-    flags.custom("--fault-type", "T",
-                 "transient | intermittent | permanent",
-                 [&cfg](const std::string &text, std::string &error) {
-                     return decodeFaultType(text, cfg.faultType,
-                                            error);
-                 });
-    flags.custom("--population", "P",
-                 "single | double-adjacent |\n"
-                 "double-random | multi-structure",
-                 [&cfg](const std::string &text, std::string &error) {
-                     return decodePopulation(text, cfg.population,
-                                             error);
-                 });
-    flags.uint64("--seed", "N", "campaign seed", &cfg.seed);
-    flags.flag("--exhaustive",
-               "enumerate every bit x cycle site of\nthe component",
-               &cfg.exhaustive);
-    flags.flag("--no-prune",
-               "disable planning-time classification\n"
-               "and fault-equivalence pruning",
-               [&cfg] { cfg.prune = false; });
+    addCampaignFlags(flags, cfg);
     flags.uint32("--jobs", "N",
                  "worker threads for the served campaign\n"
                  "(default 1; results are bit-identical\n"
                  "for every N)",
                  &cfg.jobs);
-    flags.number("--timeout-factor", "F",
-                 "run bound vs golden cycles (default 3)",
-                 &cfg.timeoutFactor);
-    flags.number("--cache-scale", "F",
-                 "cache capacity scale (default 0.0625)",
-                 &cfg.cacheScale);
-    flags.flag("--no-early-stop",
-               "disable both early-stop optimizations", [&cfg] {
-                   cfg.earlyStopInvalidEntry = false;
-                   cfg.earlyStopOverwrite = false;
-               });
-    flags.flag("--no-checkpoints", "always start runs from reset",
-               [&cfg] { cfg.useCheckpoints = false; });
-    flags.uint64("--checkpoints", "N",
-                 "target live checkpoint count\n(default 6)",
-                 &checkpoint_count,
-                 std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--checkpoint-budget", "MB",
-                 "checkpoint memory budget in MiB\n"
-                 "(default 256; 0 = unlimited)",
-                 &cfg.checkpointMemBudgetMB);
-    flags.flag("--telemetry-timing",
-               "record wall-clock micros and the job\n"
-               "count in the telemetry",
-               &cfg.telemetryTiming);
 
     std::string parse_error;
     switch (flags.parse(argc, argv, parse_error)) {
@@ -909,8 +809,6 @@ main(int argc, char **argv)
       case cli::ParseResult::Ok:
         break;
     }
-    cfg.scale = static_cast<std::uint32_t>(scale);
-    cfg.checkpointCount = static_cast<std::uint32_t>(checkpoint_count);
     retry.seed = cfg.seed;
 
     // Arm the failpoint registry before any instrumented code runs.
