@@ -11,7 +11,6 @@
 #include "inject/config_fields.hh"
 #include "inject/executor.hh"
 #include "inject/plan.hh"
-#include "inject/reporting.hh"
 #include "inject/target.hh"
 #include "inject/telemetry.hh"
 #include "isa/codegen.hh"
@@ -30,6 +29,12 @@ namespace
 /** Hard upper bound on any single simulated run. */
 constexpr std::uint64_t kAbsoluteCycleCap = 200'000'000;
 
+/**
+ * Upper bound on CampaignConfig::jobs.  Each job is one worker
+ * thread, and a served request's config is untrusted wire input.
+ */
+constexpr std::uint32_t kMaxJobs = 1024;
+
 bool
 knownName(const std::vector<std::string> &names,
           const std::string &name)
@@ -47,6 +52,121 @@ joinNames(const std::vector<std::string> &names)
         joined += name;
     }
     return joined;
+}
+
+/**
+ * Resolve one pruned run's outcome; this is the one place it is
+ * decided.  A statically classified run gets exactly the early-stop
+ * (or golden) record the dispatcher would have produced.  An
+ * equivalence-class member gets its representative's record when
+ * this process simulated it (`executed`), or only the classified
+ * outcome when the representative came from the resume stream
+ * (`resumed`).  A representative has the lowest runId of its class,
+ * so the ordered stream always reaches it before its members.
+ */
+PrunedRunOutcome
+resolvePruned(
+    const PrunedRun &pruned, const syskit::RunRecord &golden,
+    const std::unordered_map<std::uint64_t, syskit::RunRecord> &executed,
+    const std::unordered_map<std::uint64_t, const TelemetryRecord *>
+        &resumed)
+{
+    PrunedRunOutcome outcome;
+    outcome.runId = pruned.runId;
+    outcome.verdict = pruned.verdict;
+    outcome.repRunId = pruned.repRunId;
+    outcome.pruneClass = pruned.pruneClass;
+    outcome.haveRecord = true;
+    switch (pruned.verdict) {
+      case SiteVerdict::InvalidEntry:
+      case SiteVerdict::DeadOverwrite:
+        outcome.record.earlyStopMasked = true;
+        outcome.record.earlyStopReason =
+            pruned.verdict == SiteVerdict::InvalidEntry
+                ? "invalid-entry"
+                : "overwritten-before-read";
+        outcome.record.cycles = pruned.cycles;
+        outcome.record.instructions = pruned.instructions;
+        return outcome;
+      case SiteVerdict::GoldenRun:
+        // The fault is never observed: the run completes as golden.
+        outcome.record = golden;
+        return outcome;
+      case SiteVerdict::EquivMember: {
+        if (const auto rep = executed.find(pruned.repRunId);
+            rep != executed.end()) {
+            outcome.record = rep->second;
+            return outcome;
+        }
+        const auto rep = resumed.find(pruned.repRunId);
+        if (rep == resumed.end())
+            panic("campaign: pruned run %s has no representative %s "
+                  "in this view",
+                  pruned.runId, pruned.repRunId);
+        if (!outcomeClassFromName(rep->second->outcome, outcome.cls))
+            fatal("campaign: resume record %s has unknown outcome "
+                  "class '%s'",
+                  rep->second->runId, rep->second->outcome);
+        outcome.haveRecord = false;
+        outcome.subclass = rep->second->subclass;
+        outcome.record.cycles = rep->second->cycles;
+        outcome.record.instructions = rep->second->instructions;
+        return outcome;
+      }
+      case SiteVerdict::Simulate:
+        break;
+    }
+    panic("campaign: Simulate verdict among pruned runs (run %s)",
+          pruned.runId);
+}
+
+Classification
+classifyPruned(const Parser &parser, const syskit::RunRecord &golden,
+               const PrunedRunOutcome &outcome)
+{
+    if (outcome.haveRecord)
+        return parser.classify(golden, outcome.record);
+    return Classification{outcome.cls, outcome.subclass};
+}
+
+/**
+ * The one place a run becomes its telemetry line.  `measured` is the
+ * executed task's result, or nullptr for a pruned run: nothing was
+ * simulated, so its volatile measurements stay zero.
+ */
+TelemetryRecord
+telemetryLine(const CampaignConfig &cfg, std::uint32_t jobs,
+              const RunTask &task, const Classification &cls,
+              const syskit::RunRecord &record,
+              const TaskResult *measured)
+{
+    TelemetryRecord line;
+    line.runId = task.runId;
+    line.seed = cfg.seed;
+    line.component = cfg.component;
+    if (!task.masks.empty()) {
+        line.structure = structureName(task.masks[0].structure);
+        line.entry = task.masks[0].entry;
+        line.bit = task.masks[0].bit;
+        line.faultType = faultTypeName(task.masks[0].type);
+        line.injectionCycle = task.firstCycle;
+    }
+    line.maskCount = task.masks.size();
+    line.pruneClass = task.pruneClass;
+    line.outcome = outcomeClassName(cls.cls);
+    line.subclass = cls.subclass;
+    line.instructions = record.instructions;
+    line.cycles = record.cycles;
+    if (measured != nullptr && cfg.telemetryTiming) {
+        // Execution-strategy measurements: which cycles were really
+        // simulated (and how long the restore took) depends on the
+        // checkpoint layout, so they are volatile like wall-clock.
+        line.simCycles = measured->simulatedCycles;
+        line.restoreMicros = measured->restoreMicros;
+        line.wallMicros = measured->wallMicros;
+        line.jobs = jobs;
+    }
+    return line;
 }
 
 } // namespace
@@ -103,6 +223,8 @@ CampaignConfig::validate() const
     if (useCheckpoints && checkpointCount == 0)
         bad("checkpoints", "checkpoint count must be >= 1 when "
                            "checkpointing is enabled");
+    if (jobs > kMaxJobs)
+        bad("jobs", "must be <= " + std::to_string(kMaxJobs));
     if (shard.count == 0)
         bad("shard", "shard count must be >= 1");
     else if (shard.index >= shard.count)
@@ -474,44 +596,59 @@ InjectionCampaign::run(const Progress &progress)
         plan = plan.withoutRuns(completed);
     }
 
-    // Execute: serial or thread pool per cfg_.jobs; either way the
-    // results come back in runId order.
-    CampaignReporter reporter(progress, plan.numRuns());
-    const std::unique_ptr<Executor> executor =
-        makeExecutor({cfg_.jobs});
-
-    // Telemetry attaches at the reporter's ordered-commit point, so
-    // the stream is identical for every executor and job count.  It
-    // streams to disk line-by-line: a killed campaign leaves a
-    // resumable partial instead of nothing.
+    // Telemetry streams to disk line-by-line: a killed campaign
+    // leaves a resumable partial instead of nothing.  Capture-only
+    // telemetry (the campaign service) stays in memory.
+    const std::uint32_t jobs = resolveJobs(cfg_.jobs);
+    const syskit::RunRecord &golden = prep_->golden;
     std::unique_ptr<TelemetryWriter> telemetry;
     if (!cfg_.telemetryOut.empty() || cfg_.telemetryCapture) {
         telemetry = std::make_unique<TelemetryWriter>(
-            cfg_, prep_->golden, total_runs, executor->jobs(),
-            plan.pruneStats(), TelemetryOptions{cfg_.telemetryTiming});
-        // Capture-only telemetry (the campaign service) stays in
-        // memory; a path additionally streams every line to disk.
+            cfg_, golden, total_runs, jobs, plan.pruneStats());
         if (!cfg_.telemetryOut.empty())
             telemetry->streamTo(cfg_.telemetryOut);
-        // Pruned runs of this plan view interleave into the stream at
-        // their runId positions; already-resumed pruned runs were
-        // dropped from the view by withoutRuns() above.
-        telemetry->setPruned(plan.pruned());
-        // Completed runs from the resume stream re-enter the new
-        // artifact verbatim, ahead of everything this process runs
-        // (resumed runIds always precede the remainder: the partial
-        // stream was itself written in ascending-runId order).
-        for (const TelemetryRecord &record : resumed)
-            telemetry->replay(record);
-        reporter.setCommitSink(
-            [&telemetry](const RunTask &task,
-                         const TaskResult &task_result) {
-                telemetry->commit(task, task_result);
-            });
     }
 
-    std::vector<TaskResult> task_results = executor->run(
-        plan,
+    // The campaign's one ordered stream.  Completed runs from the
+    // resume stream come first, verbatim: they precede the remainder,
+    // because the partial stream was itself written in ascending
+    // runId order.  This view's executed tasks and pruned runs follow,
+    // merged by runId as runTasks() commits the tasks in list order.
+    std::unordered_map<std::uint64_t, const TelemetryRecord *> resumed_by_id;
+    for (const TelemetryRecord &record : resumed) {
+        resumed_by_id.emplace(record.runId, &record);
+        if (telemetry != nullptr)
+            telemetry->append(record);
+    }
+
+    CampaignResult result;
+    const Parser parser;
+    const std::vector<PrunedRun> &pruned = plan.pruned();
+    std::size_t next_pruned = 0;
+    // Executed class representatives' records, for their members.
+    std::unordered_map<std::uint64_t, syskit::RunRecord> executed_reps;
+    result.pruned.reserve(pruned.size());
+    auto emit_pruned_below = [&](std::uint64_t run_id) {
+        for (; next_pruned < pruned.size() &&
+               pruned[next_pruned].runId < run_id;
+             ++next_pruned) {
+            const PrunedRun &run = pruned[next_pruned];
+            PrunedRunOutcome outcome =
+                resolvePruned(run, golden, executed_reps, resumed_by_id);
+            if (telemetry != nullptr) {
+                const RunTask task{run.runId, {run.mask}, run.mask.cycle,
+                                   run.pruneClass};
+                telemetry->append(telemetryLine(
+                    cfg_, jobs, task,
+                    classifyPruned(parser, golden, outcome),
+                    outcome.record, nullptr));
+            }
+            result.pruned.push_back(std::move(outcome));
+        }
+    };
+
+    std::vector<TaskResult> task_results = runTasks(
+        plan.tasks(), jobs,
         [this](const RunTask &task) {
             const auto started = std::chrono::steady_clock::now();
             TaskResult task_result = runTask(task);
@@ -521,120 +658,54 @@ InjectionCampaign::run(const Progress &progress)
                     .count());
             return task_result;
         },
-        reporter);
+        progress,
+        [&](const RunTask &task, const TaskResult &task_result) {
+            emit_pruned_below(task.runId);
+            if (task.pruneClass != 0)
+                executed_reps.emplace(task.runId, task_result.record);
+            if (telemetry != nullptr)
+                telemetry->append(telemetryLine(
+                    cfg_, jobs, task,
+                    parser.classify(golden, task_result.record),
+                    task_result.record, &task_result));
+        });
+    emit_pruned_below(total_runs);
 
     if (telemetry != nullptr && !cfg_.telemetryOut.empty())
-        telemetry->writeFiles(cfg_.telemetryOut);
+        telemetry->writeFiles();
 
     // Report: fold the ordered results into the campaign record.
-    CampaignResult result;
     result.config = cfg_;
     if (telemetry != nullptr) {
-        // Pruned runs above the last committed runId are still
-        // queued; a capture-only writer (no writeFiles) must flush
-        // them or the in-memory artifacts drop the trailing records.
-        telemetry->finalize();
         result.telemetryRuns = telemetry->runsJsonl();
         result.telemetrySummary = telemetry->summaryJson();
     }
-    result.golden = prep_->golden;
+    result.golden = golden;
     result.masks = plan.masks();
     result.pruneStats = plan.pruneStats();
-    result.records.reserve(task_results.size());
-    result.recordRunIds.reserve(task_results.size());
-    result.aggregateStats = reporter.aggregateStats();
+    // Without checkpoints and early stops every run would have
+    // simulated from reset to wherever it ended (or to the end of
+    // the program for masked runs).
+    auto full_run_cycles = [&golden](const syskit::RunRecord &rec) {
+        return rec.earlyStopMasked ? golden.cycles
+                                   : std::max(rec.cycles, golden.cycles);
+    };
     const std::vector<RunTask> &tasks = plan.tasks();
-    if (task_results.size() != tasks.size())
-        panic("campaign: %s results for %s planned tasks",
-              task_results.size(), tasks.size());
-    for (std::size_t i = 0; i < task_results.size(); ++i) {
+    result.records.reserve(tasks.size());
+    result.recordRunIds.reserve(tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
         TaskResult &task_result = task_results[i];
         result.simulatedFaultyCycles += task_result.simulatedCycles;
         result.totalWallMicros += task_result.wallMicros;
         result.totalRestoreMicros += task_result.restoreMicros;
-        // Without checkpoints and early stops the run would have
-        // simulated from reset to wherever it ended (or to the end of
-        // the program for masked runs).
-        const syskit::RunRecord &rec = task_result.record;
         result.fullRunEquivalentCycles +=
-            rec.earlyStopMasked ? prep_->golden.cycles
-                                : std::max(rec.cycles, prep_->golden.cycles);
+            full_run_cycles(task_result.record);
+        result.aggregateStats.merge(task_result.record.stats);
         result.recordRunIds.push_back(tasks[i].runId);
         result.records.push_back(std::move(task_result.record));
     }
-
-    // Fold the pruned runs of this view in with their precomputed
-    // outcomes, so result.classify() tallies the whole view exactly
-    // as an unpruned campaign would.
-    std::unordered_map<std::uint64_t, const syskit::RunRecord *>
-        executed;
-    for (std::size_t i = 0; i < result.records.size(); ++i)
-        executed.emplace(result.recordRunIds[i], &result.records[i]);
-    std::unordered_map<std::uint64_t, const TelemetryRecord *>
-        resumed_by_id;
-    for (const TelemetryRecord &record : resumed)
-        resumed_by_id.emplace(record.runId, &record);
-
-    result.pruned.reserve(plan.pruned().size());
-    for (const PrunedRun &pruned : plan.pruned()) {
-        PrunedRunOutcome outcome;
-        outcome.runId = pruned.runId;
-        outcome.verdict = pruned.verdict;
-        outcome.repRunId = pruned.repRunId;
-        outcome.pruneClass = pruned.pruneClass;
-        switch (pruned.verdict) {
-          case SiteVerdict::InvalidEntry:
-          case SiteVerdict::DeadOverwrite:
-            outcome.record.earlyStopMasked = true;
-            outcome.record.earlyStopReason =
-                pruned.verdict == SiteVerdict::InvalidEntry
-                    ? "invalid-entry"
-                    : "overwritten-before-read";
-            outcome.record.cycles = pruned.cycles;
-            outcome.record.instructions = pruned.instructions;
-            outcome.haveRecord = true;
-            result.fullRunEquivalentCycles += prep_->golden.cycles;
-            break;
-          case SiteVerdict::GoldenRun:
-            outcome.record = prep_->golden;
-            outcome.haveRecord = true;
-            result.fullRunEquivalentCycles += prep_->golden.cycles;
-            break;
-          case SiteVerdict::EquivMember: {
-            const auto exec = executed.find(pruned.repRunId);
-            if (exec != executed.end()) {
-                outcome.record = *exec->second;
-                outcome.haveRecord = true;
-                result.fullRunEquivalentCycles += std::max(
-                    outcome.record.cycles, prep_->golden.cycles);
-                break;
-            }
-            const auto rep = resumed_by_id.find(pruned.repRunId);
-            if (rep == resumed_by_id.end())
-                panic("campaign: pruned run %s has no representative "
-                      "%s in this view",
-                      pruned.runId, pruned.repRunId);
-            // The representative came from the resume stream: only
-            // its classified outcome survives, not the full record.
-            if (!outcomeClassFromName(rep->second->outcome,
-                                      outcome.cls))
-                fatal("campaign: resume record %s has unknown "
-                      "outcome class '%s'",
-                      rep->second->runId, rep->second->outcome);
-            outcome.subclass = rep->second->subclass;
-            outcome.record.cycles = rep->second->cycles;
-            outcome.record.instructions = rep->second->instructions;
-            result.fullRunEquivalentCycles +=
-                std::max(outcome.record.cycles, prep_->golden.cycles);
-            break;
-          }
-          case SiteVerdict::Simulate:
-            panic("campaign: Simulate verdict among pruned runs "
-                  "(run %s)",
-                  pruned.runId);
-        }
-        result.pruned.push_back(std::move(outcome));
-    }
+    for (const PrunedRunOutcome &outcome : result.pruned)
+        result.fullRunEquivalentCycles += full_run_cycles(outcome.record);
     return result;
 }
 
@@ -644,11 +715,8 @@ CampaignResult::classify(const Parser &parser) const
     ClassCounts counts;
     for (const syskit::RunRecord &record : records)
         counts.add(parser.classify(golden, record).cls);
-    for (const PrunedRunOutcome &outcome : pruned) {
-        counts.add(outcome.haveRecord
-                       ? parser.classify(golden, outcome.record).cls
-                       : outcome.cls);
-    }
+    for (const PrunedRunOutcome &outcome : pruned)
+        counts.add(classifyPruned(parser, golden, outcome).cls);
     return counts;
 }
 

@@ -23,13 +23,17 @@
  *
  * Execution is layered (the paper parallelized its campaigns across
  * ~10 workstations; we parallelize across threads):
- *  - planning  (inject/plan.hh)      resolves config + golden run +
- *    sampling + masks into an immutable CampaignPlan of RunTasks;
- *  - executor  (inject/executor.hh)  schedules the tasks serially or
- *    on a thread pool (CampaignConfig::jobs), committing results in
- *    runId order so the output is bit-identical either way;
- *  - reporting (inject/reporting.hh) serialises progress callbacks
- *    and stats aggregation from the workers.
+ *  - planning (inject/plan.hh) resolves config + golden run +
+ *    sampling + masks into an immutable CampaignPlan of RunTasks
+ *    and pruned runs;
+ *  - execution (inject/executor.hh) runTasks() runs the tasks on the
+ *    caller's thread or a pool (CampaignConfig::jobs), serializes
+ *    progress, and commits results in task-list order;
+ *  - InjectionCampaign::run() owns the campaign's one ordered run
+ *    stream: resumed records, then executed and pruned runs merged
+ *    by runId, each becoming one telemetry line
+ *    (inject/telemetry.hh), so the output is bit-identical for every
+ *    job count.
  */
 
 #ifndef DFI_INJECT_CAMPAIGN_HH
@@ -150,8 +154,9 @@ struct CampaignConfig
 
     /**
      * Worker threads driving the faulty runs: 1 = serial (the
-     * default), 0 = hardware concurrency, N = that many threads.
-     * The campaign outcome is bit-identical for every value.
+     * default), 0 = hardware concurrency, N = that many threads
+     * (at most 1024).  The campaign outcome is bit-identical for
+     * every value.
      */
     std::uint32_t jobs = 1;
 

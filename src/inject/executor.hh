@@ -1,22 +1,13 @@
 /**
  * @file
- * Campaign executor layer (layer 2 of the execution engine).
- *
- * An Executor schedules the independent RunTasks of a CampaignPlan
- * onto workers and returns the TaskResults **in runId order**,
+ * Campaign execution: runTasks() runs the independent RunTasks of a
+ * CampaignPlan on the caller's thread or on a pool of workers, and
+ * hands each finished task to a commit sink **in task-list order**,
  * regardless of the order in which tasks actually completed.  That
  * ordering guarantee, plus the immutability of the plan and of the
  * shared simulator checkpoints, is the determinism contract: for a
- * fixed (config, program, seed) every executor — serial or any
- * thread count — produces byte-identical records, masks, and
- * classification counts.
- *
- * Two implementations:
- *  - SerialExecutor      runs tasks in runId order on the caller's
- *                        thread (the historical campaign loop);
- *  - ThreadPoolExecutor  runs tasks on N std::thread workers, each
- *                        claiming the next unclaimed task and
- *                        committing its result into the task's slot.
+ * fixed (config, program, seed) every job count produces
+ * byte-identical records, masks, and classification counts.
  */
 
 #ifndef DFI_INJECT_EXECUTOR_HH
@@ -24,11 +15,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "inject/plan.hh"
-#include "inject/reporting.hh"
 
 namespace dfi::inject
 {
@@ -39,12 +28,12 @@ namespace dfi::inject
  */
 using TaskRunner = std::function<TaskResult(const RunTask &)>;
 
-/** Executor scheduling parameters. */
-struct ExecutorConfig
-{
-    /** Worker threads; 1 = serial, 0 = hardware concurrency. */
-    std::uint32_t jobs = 1;
-};
+/**
+ * Ordered-commit consumer: called once per task, strictly in
+ * task-list order.  The references are valid for the call only.
+ */
+using CommitSink =
+    std::function<void(const RunTask &task, const TaskResult &result)>;
 
 /**
  * Resolve a requested job count: 0 becomes the hardware concurrency
@@ -52,66 +41,25 @@ struct ExecutorConfig
  */
 std::uint32_t resolveJobs(std::uint32_t requested);
 
-/** Common executor interface. */
-class Executor
-{
-  public:
-    virtual ~Executor() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Worker threads this executor will use. */
-    virtual std::uint32_t jobs() const = 0;
-
-    /**
-     * Run every task of `plan` through `runner`; report each finished
-     * task (and its record's counters) to `reporter`.
-     * @return one TaskResult per task, indexed by runId.
-     */
-    virtual std::vector<TaskResult> run(const CampaignPlan &plan,
-                                        const TaskRunner &runner,
-                                        CampaignReporter &reporter) = 0;
-};
-
-/** Runs tasks one after another on the calling thread. */
-class SerialExecutor : public Executor
-{
-  public:
-    const char *name() const override { return "serial"; }
-    std::uint32_t jobs() const override { return 1; }
-    std::vector<TaskResult> run(const CampaignPlan &plan,
-                                const TaskRunner &runner,
-                                CampaignReporter &reporter) override;
-};
-
 /**
- * Runs tasks on a pool of std::thread workers.  Results are committed
- * into per-runId slots, so the returned vector is bit-identical to
- * SerialExecutor's for the same plan and runner.
+ * Run every task through `runner` on `jobs` workers (0 = hardware
+ * concurrency).  With one effective worker the tasks run in order on
+ * the calling thread and no thread is started.  Otherwise a pool of
+ * min(jobs, tasks) threads claims tasks in list order.
+ *
+ * `progress` (optional) fires once per finished task with `done`
+ * advancing 1..n; `commit` (optional) sees each task in list order.
+ * Calls to both are serialized, never concurrent.  A failing task
+ * stops the pool from claiming more; after the join the error of the
+ * lowest failing index is rethrown.  A worker thread that cannot be
+ * started is a FatalError, raised after the started ones are joined.
+ *
+ * @return one TaskResult per task, in task-list order.
  */
-class ThreadPoolExecutor : public Executor
-{
-  public:
-    /** @param jobs worker count; 0 = hardware concurrency. */
-    explicit ThreadPoolExecutor(std::uint32_t jobs)
-        : jobs_(resolveJobs(jobs))
-    {}
-
-    const char *name() const override { return "thread-pool"; }
-    std::uint32_t jobs() const override { return jobs_; }
-    std::vector<TaskResult> run(const CampaignPlan &plan,
-                                const TaskRunner &runner,
-                                CampaignReporter &reporter) override;
-
-  private:
-    std::uint32_t jobs_;
-};
-
-/**
- * Pick an executor for the requested job count: SerialExecutor for an
- * effective single job, ThreadPoolExecutor otherwise.
- */
-std::unique_ptr<Executor> makeExecutor(const ExecutorConfig &config);
+std::vector<TaskResult> runTasks(const std::vector<RunTask> &tasks,
+                                 std::uint32_t jobs, const TaskRunner &runner,
+                                 const InjectionCampaign::Progress &progress,
+                                 const CommitSink &commit);
 
 } // namespace dfi::inject
 

@@ -31,8 +31,8 @@
  *    daemon — returns the recorded response without re-executing.
  *    Prepared state lives in memory only: re-preparing costs under a
  *    second, against tens of seconds of faulty-run simulation;
- *  - progress streams back through the campaign's ordered-commit
- *    reporting, so a served campaign emits the same (done, total)
+ *  - progress streams back through runTasks()' serialized progress
+ *    callbacks, so a served campaign emits the same (done, total)
  *    sequence a local run would.
  *
  * Determinism contract: a served campaign's telemetry artifacts are

@@ -1,6 +1,5 @@
 #include "inject/telemetry.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -426,136 +425,14 @@ TelemetryWriter::TelemetryWriter(const CampaignConfig &config,
                                  const syskit::RunRecord &golden,
                                  std::uint64_t total_runs,
                                  std::uint32_t jobs,
-                                 const PruneStats &prune,
-                                 TelemetryOptions options)
+                                 const PruneStats &prune)
     : config_(config), golden_(golden), jobs_(jobs), prune_(prune),
-      options_(options), acc_(golden.cycles)
+      acc_(golden.cycles)
 {
     lines_ =
         telemetryRunsHeader(config_, golden_, total_runs, prune_)
             .dump();
     lines_ += '\n';
-}
-
-void
-TelemetryWriter::setPruned(const std::vector<PrunedRun> &pruned)
-{
-    if (anyEmitted_)
-        panic("telemetry: setPruned after records were emitted");
-    prunedQueue_ = pruned;
-    std::sort(prunedQueue_.begin(), prunedQueue_.end(),
-              [](const PrunedRun &a, const PrunedRun &b) {
-                  return a.runId < b.runId;
-              });
-    nextPruned_ = 0;
-    for (const PrunedRun &run : prunedQueue_) {
-        if (run.verdict == SiteVerdict::EquivMember)
-            reps_.try_emplace(run.repRunId);
-    }
-}
-
-void
-TelemetryWriter::harvestRep(std::uint64_t run_id,
-                            const TelemetryRecord &record)
-{
-    const auto it = reps_.find(run_id);
-    if (it == reps_.end())
-        return;
-    it->second.outcome = record.outcome;
-    it->second.subclass = record.subclass;
-    it->second.instructions = record.instructions;
-    it->second.cycles = record.cycles;
-    it->second.known = true;
-}
-
-void
-TelemetryWriter::emitPruned(const PrunedRun &pruned)
-{
-    if (anyEmitted_ && pruned.runId <= lastRunId_)
-        panic("telemetry: pruned run %s out of order (last was %s)",
-              pruned.runId, lastRunId_);
-
-    TelemetryRecord record;
-    record.runId = pruned.runId;
-    record.seed = config_.seed;
-    record.component = config_.component;
-    record.structure = structureName(pruned.mask.structure);
-    record.entry = pruned.mask.entry;
-    record.bit = pruned.mask.bit;
-    record.faultType = faultTypeName(pruned.mask.type);
-    record.injectionCycle = pruned.mask.cycle;
-    record.maskCount = 1;
-    record.pruneClass = pruned.pruneClass;
-    // Volatile measurements (sim_cycles, restore_us, wall_us, jobs)
-    // stay zero: nothing was simulated.
-
-    switch (pruned.verdict) {
-      case SiteVerdict::InvalidEntry:
-      case SiteVerdict::DeadOverwrite: {
-        // Exactly the early-stop record the dispatcher would have
-        // produced, classified by the same parser.
-        syskit::RunRecord stop;
-        stop.earlyStopMasked = true;
-        stop.earlyStopReason =
-            pruned.verdict == SiteVerdict::InvalidEntry
-                ? "invalid-entry"
-                : "overwritten-before-read";
-        stop.cycles = pruned.cycles;
-        stop.instructions = pruned.instructions;
-        const Classification cls = parser_.classify(golden_, stop);
-        record.outcome = outcomeClassName(cls.cls);
-        record.subclass = cls.subclass;
-        record.instructions = stop.instructions;
-        record.cycles = stop.cycles;
-        break;
-      }
-      case SiteVerdict::GoldenRun: {
-        // The fault is never observed: the run completes as the
-        // golden record.
-        const Classification cls = parser_.classify(golden_, golden_);
-        record.outcome = outcomeClassName(cls.cls);
-        record.subclass = cls.subclass;
-        record.instructions = golden_.instructions;
-        record.cycles = golden_.cycles;
-        break;
-      }
-      case SiteVerdict::EquivMember: {
-        const auto it = reps_.find(pruned.repRunId);
-        if (it == reps_.end() || !it->second.known)
-            panic("telemetry: pruned run %s emitted before its "
-                  "representative %s",
-                  pruned.runId, pruned.repRunId);
-        record.outcome = it->second.outcome;
-        record.subclass = it->second.subclass;
-        record.instructions = it->second.instructions;
-        record.cycles = it->second.cycles;
-        break;
-      }
-      case SiteVerdict::Simulate:
-        panic("telemetry: Simulate verdict in the pruned queue "
-              "(run %s)",
-              pruned.runId);
-    }
-
-    anyEmitted_ = true;
-    lastRunId_ = pruned.runId;
-    acc_.add(record);
-    appendLine(record.toJson().dump());
-}
-
-void
-TelemetryWriter::flushPrunedBelow(std::uint64_t run_id)
-{
-    while (nextPruned_ < prunedQueue_.size() &&
-           prunedQueue_[nextPruned_].runId < run_id)
-        emitPruned(prunedQueue_[nextPruned_++]);
-}
-
-void
-TelemetryWriter::flushAllPruned()
-{
-    while (nextPruned_ < prunedQueue_.size())
-        emitPruned(prunedQueue_[nextPruned_++]);
 }
 
 void
@@ -565,12 +442,13 @@ TelemetryWriter::streamTo(const std::string &base)
         panic("telemetry: streamTo called twice");
     if (anyEmitted_)
         panic("telemetry: streamTo after records were emitted");
-    streamPath_ = base + ".jsonl";
-    stream_.open(streamPath_, std::ios::binary | std::ios::trunc);
+    streamBase_ = base;
+    const std::string path = base + ".jsonl";
+    stream_.open(path, std::ios::binary | std::ios::trunc);
     if (!stream_)
-        fatal("telemetry: cannot write '%s'", streamPath_);
+        fatal("telemetry: cannot write '%s'", path);
     // The header goes out (and is flushed) immediately, so even a
-    // campaign killed before its first commit leaves a valid,
+    // campaign killed before its first record leaves a valid,
     // resumable stream.
     if (failpoint::check("telemetry.write").kind ==
         failpoint::Action::Kind::Error)
@@ -578,7 +456,7 @@ TelemetryWriter::streamTo(const std::string &base)
     stream_ << lines_;
     stream_.flush();
     if (!stream_)
-        fatal("telemetry: write to '%s' failed", streamPath_);
+        fatal("telemetry: write to '%s' failed", path);
 }
 
 void
@@ -598,67 +476,20 @@ TelemetryWriter::appendLine(const std::string &line)
         stream_ << line << '\n';
         stream_.flush();
         if (!stream_)
-            fatal("telemetry: write to '%s' failed", streamPath_);
+            fatal("telemetry: write to '%s.jsonl' failed", streamBase_);
     }
 }
 
 void
-TelemetryWriter::replay(const TelemetryRecord &record)
+TelemetryWriter::append(const TelemetryRecord &record)
 {
-    flushPrunedBelow(record.runId);
     if (anyEmitted_ && record.runId <= lastRunId_)
-        fatal("telemetry: resume record %s out of order (last was "
-              "%s) — corrupt or reordered resume stream",
+        fatal("telemetry: run %s out of order (last was %s) — corrupt "
+              "or reordered resume stream",
               record.runId, lastRunId_);
     anyEmitted_ = true;
     lastRunId_ = record.runId;
-    harvestRep(record.runId, record);
     acc_.add(record); // fatal() on an unknown outcome class
-    appendLine(record.toJson().dump());
-}
-
-void
-TelemetryWriter::commit(const RunTask &task, const TaskResult &result)
-{
-    flushPrunedBelow(task.runId);
-    if (anyEmitted_ && task.runId <= lastRunId_)
-        panic("telemetry: commit of run %s out of order (last was %s)",
-              task.runId, lastRunId_);
-    anyEmitted_ = true;
-    lastRunId_ = task.runId;
-
-    const Classification classification =
-        parser_.classify(golden_, result.record);
-
-    TelemetryRecord record;
-    record.runId = task.runId;
-    record.seed = config_.seed;
-    record.component = config_.component;
-    if (!task.masks.empty()) {
-        record.structure = structureName(task.masks[0].structure);
-        record.entry = task.masks[0].entry;
-        record.bit = task.masks[0].bit;
-        record.faultType = faultTypeName(task.masks[0].type);
-    }
-    record.injectionCycle = task.masks.empty() ? 0 : task.firstCycle;
-    record.maskCount = task.masks.size();
-    record.pruneClass = task.pruneClass;
-    record.outcome = outcomeClassName(classification.cls);
-    record.subclass = classification.subclass;
-    record.instructions = result.record.instructions;
-    record.cycles = result.record.cycles;
-    if (options_.captureTiming) {
-        // Execution-strategy measurements: which cycles were really
-        // simulated (and how long the restore took) depends on the
-        // checkpoint layout, so they are volatile like wall-clock.
-        record.simCycles = result.simulatedCycles;
-        record.restoreMicros = result.restoreMicros;
-        record.wallMicros = result.wallMicros;
-        record.jobs = jobs_;
-    }
-
-    harvestRep(task.runId, record);
-    acc_.add(record);
     appendLine(record.toJson().dump());
 }
 
@@ -667,30 +498,17 @@ TelemetryWriter::summaryJson() const
 {
     return acc_.summaryJson(telemetryConfigEcho(config_),
                             telemetryGoldenEcho(golden_),
-                            options_.captureTiming ? jobs_ : 0,
+                            config_.telemetryTiming ? jobs_ : 0,
                             &prune_);
 }
 
 void
-TelemetryWriter::writeFiles(const std::string &base)
+TelemetryWriter::writeFiles()
 {
-    // Pruned runs above the last committed runId are still queued.
-    flushAllPruned();
-
-    const std::string runs_path = base + ".jsonl";
-    const std::string summary_path = base + ".summary.json";
-    if (stream_.is_open()) {
-        if (runs_path != streamPath_)
-            panic("telemetry: writeFiles('%s') while streaming to "
-                  "'%s'",
-                  runs_path, streamPath_);
-        stream_.close();
-    } else {
-        std::ofstream runs(runs_path, std::ios::binary);
-        runs << lines_;
-        if (!runs)
-            fatal("telemetry: cannot write '%s'", runs_path);
-    }
+    if (!stream_.is_open())
+        panic("telemetry: writeFiles without streamTo");
+    stream_.close();
+    const std::string summary_path = streamBase_ + ".summary.json";
     std::ofstream summary(summary_path, std::ios::binary);
     if (failpoint::check("telemetry.flush").kind ==
         failpoint::Action::Kind::Error)

@@ -10,10 +10,10 @@
  *
  *  - a JSONL run stream: one header line (schema version + config
  *    echo + golden reference + campaign-wide run count), then one
- *    flat JSON record per RunTask, emitted at the executor's
- *    ordered-commit point so the stream is byte-identical for any
- *    `--jobs` value — and streamed to disk line-by-line, so a killed
- *    campaign leaves a resumable partial;
+ *    flat JSON record per run, in ascending runId order, so the
+ *    stream is byte-identical for any `--jobs` value — and streamed
+ *    to disk line-by-line, so a killed campaign leaves a resumable
+ *    partial;
  *  - a summary JSON document: config echo, per-class counts and
  *    percentages, and a run-length histogram.
  *
@@ -41,13 +41,11 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/json.hh"
 #include "inject/campaign.hh"
 #include "inject/parser.hh"
-#include "inject/plan.hh"
 
 namespace dfi::inject
 {
@@ -81,17 +79,6 @@ constexpr std::uint64_t kTelemetrySchemaVersion = 3;
 /** Artifact kind tags (the "kind" member of the header/document). */
 inline constexpr const char *kTelemetryRunsKind = "dfi-telemetry";
 inline constexpr const char *kTelemetrySummaryKind = "dfi-summary";
-
-/** Telemetry capture options. */
-struct TelemetryOptions
-{
-    /**
-     * Record real wall-clock micros and the executor job count.
-     * Off by default: the volatile fields are written as zero so the
-     * artifacts are byte-identical across hosts and `--jobs` values.
-     */
-    bool captureTiming = false;
-};
 
 /** One JSONL run record, decoded. */
 struct TelemetryRecord
@@ -208,10 +195,11 @@ class SummaryAccumulator
 };
 
 /**
- * Builds both artifacts for one campaign.  commit() must be called
- * once per task in ascending-runId order — the executors'
- * ordered-commit point (CampaignReporter::setCommitSink) guarantees
- * exactly that for any plan view and job count.
+ * Builds both artifacts for one campaign from its ordered run stream:
+ * append() takes each run's line in ascending runId order.
+ * InjectionCampaign::run() is the stream's one producer (resumed
+ * records, then executed and pruned runs merged by runId), so the
+ * artifacts are identical for any plan view and job count.
  *
  * With streamTo() the run stream is additionally appended to disk
  * line-by-line (flushed per record), so a killed campaign leaves a
@@ -224,104 +212,56 @@ class TelemetryWriter
     /**
      * @param total_runs campaign-wide run count (plan totalRuns()),
      *        echoed as `runs_total` in the header.
+     * @param jobs job count, echoed (volatile) in the summary when
+     *        `config.telemetryTiming` is on.
      * @param prune campaign-wide pruning tallies (plan pruneStats()),
      *        echoed in the header and summary.
      */
     TelemetryWriter(const CampaignConfig &config,
                     const syskit::RunRecord &golden,
                     std::uint64_t total_runs, std::uint32_t jobs,
-                    const PruneStats &prune, TelemetryOptions options);
-
-    /**
-     * Declare the pruned runs of this process's plan view (plan
-     * pruned()); their records are synthesized and interleaved into
-     * the stream at the right runId positions — statically classified
-     * runs as the early-stop (or golden) record the dispatcher would
-     * have produced, equivalence-class members as their
-     * representative's outcome.  Call before any commit/replay.
-     */
-    void setPruned(const std::vector<PrunedRun> &pruned);
+                    const PruneStats &prune);
 
     /**
      * Stream the run lines to `<base>.jsonl` incrementally (header
      * immediately, one flushed line per record).  Call before any
-     * commit/replay; fatal() on I/O failure.
+     * append; fatal() on I/O failure.
      */
     void streamTo(const std::string &base);
 
     /**
-     * Re-emit one already-completed record verbatim (resume).  Call
-     * before the executor runs, in ascending runId order; fatal() on
-     * an unknown outcome class or disordered runId (a corrupt or
-     * foreign resume stream).
+     * Append one run line.  fatal() on an unknown outcome class or a
+     * runId not above the previous one (a corrupt or reordered resume
+     * stream).
      */
-    void replay(const TelemetryRecord &record);
+    void append(const TelemetryRecord &record);
 
-    /** Append one run record (call in ascending runId order). */
-    void commit(const RunTask &task, const TaskResult &result);
-
-    /**
-     * Flush pruned records queued above the last committed runId.
-     * Call after the last commit and before reading runsJsonl() /
-     * summaryJson(); writeFiles() does it implicitly.  Idempotent.
-     */
-    void finalize() { flushAllPruned(); }
-
-    /**
-     * The JSONL run stream (header line + one line per record).
-     * Complete only after finalize() or writeFiles().
-     */
+    /** The JSONL run stream (header line + one line per record). */
     const std::string &runsJsonl() const { return lines_; }
 
-    /** The summary document (built from the commits so far). */
+    /** The summary document (built from the records so far). */
     std::string summaryJson() const;
 
     /**
-     * Finalize: write `<base>.summary.json`, and `<base>.jsonl` too
-     * unless it was already streamed there.  fatal() on I/O failure.
+     * Close the run stream and write `<base>.summary.json` beside it
+     * (the base given to streamTo()).  fatal() on I/O failure.
      */
-    void writeFiles(const std::string &base);
-
-    const ClassCounts &counts() const { return acc_.counts(); }
+    void writeFiles();
 
   private:
     void appendLine(const std::string &line);
-    /** Emit queued pruned records with runId < `run_id`. */
-    void flushPrunedBelow(std::uint64_t run_id);
-    /** Emit all remaining queued pruned records. */
-    void flushAllPruned();
-    void emitPruned(const PrunedRun &pruned);
-    /** Remember a representative's outcome for member synthesis. */
-    void harvestRep(std::uint64_t run_id,
-                    const TelemetryRecord &record);
-
-    /** A representative's outcome, fanned out to class members. */
-    struct RepOutcome
-    {
-        std::string outcome;
-        std::string subclass;
-        std::uint64_t instructions = 0;
-        std::uint64_t cycles = 0;
-        bool known = false;
-    };
 
     CampaignConfig config_;
     syskit::RunRecord golden_;
     std::uint32_t jobs_;
     PruneStats prune_;
-    TelemetryOptions options_;
-    Parser parser_;
-
-    std::vector<PrunedRun> prunedQueue_; //!< ascending runId
-    std::size_t nextPruned_ = 0;
-    std::unordered_map<std::uint64_t, RepOutcome> reps_;
 
     std::string lines_;
     SummaryAccumulator acc_;
     bool anyEmitted_ = false;
     std::uint64_t lastRunId_ = 0;
     std::ofstream stream_;     //!< open while streaming
-    std::string streamPath_;   //!< `<base>.jsonl` being streamed
+    std::string streamBase_;   //!< base given to streamTo()
 };
 
 /**

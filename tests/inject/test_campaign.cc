@@ -424,6 +424,19 @@ TEST(CampaignConfigValidate, ShardBounds)
     EXPECT_EQ(cfg.validate()[0].field, "shard");
 }
 
+TEST(CampaignConfigValidate, JobsBound)
+{
+    CampaignConfig cfg = microConfig("marss-x86", "int_regfile");
+    cfg.jobs = 0; // hardware concurrency
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.jobs = 1024;
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.jobs = 1025;
+    ASSERT_EQ(cfg.validate().size(), 1u);
+    EXPECT_EQ(cfg.validate()[0].field, "jobs");
+    EXPECT_EQ(cfg.validate()[0].message, "must be <= 1024");
+}
+
 TEST(CampaignConfigValidate, CampaignRefusesInvalidConfig)
 {
     CampaignConfig cfg = microConfig("marss-x86", "int_regfile");

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the layered campaign execution engine: the planning
- * layer's task grouping, the executors' runId-ordered result
- * commitment, and the end-to-end determinism contract — a campaign's
+ * layer's task grouping, runTasks()' ordered commit and error
+ * propagation, and the end-to-end determinism contract — a campaign's
  * records, masks, counts, and aggregate statistics are byte-identical
- * for SerialExecutor and ThreadPoolExecutor on every simulator setup,
- * and reproducible across re-runs with the same seed.
+ * for one job and for a pool of four on every simulator setup, and
+ * reproducible across re-runs with the same seed.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "inject/executor.hh"
 #include "inject/parser.hh"
 #include "inject/plan.hh"
-#include "inject/reporting.hh"
 
 namespace
 {
@@ -105,84 +104,156 @@ TEST(Plan, GroupsMasksByRunId)
         EXPECT_EQ(plan.tasks()[run_id].runId, run_id);
 }
 
+/** Tasks of a synthetic `runs`-run plan, one mask per runId. */
+CampaignPlan
+syntheticPlan(std::uint64_t runs)
+{
+    std::vector<FaultMask> masks(runs);
+    for (std::uint64_t i = 0; i < runs; ++i)
+        masks[i].runId = i;
+    return CampaignPlan(CampaignConfig{}, syskit::RunRecord{}, masks,
+                        runs);
+}
+
 TEST(Executor, ResolveJobs)
 {
     EXPECT_GE(resolveJobs(0), 1u);
     EXPECT_EQ(resolveJobs(1), 1u);
     EXPECT_EQ(resolveJobs(7), 7u);
-    EXPECT_EQ(makeExecutor({1})->jobs(), 1u);
-    EXPECT_STREQ(makeExecutor({1})->name(), "serial");
-    EXPECT_EQ(makeExecutor({4})->jobs(), 4u);
-    EXPECT_STREQ(makeExecutor({4})->name(), "thread-pool");
+}
+
+TEST(Executor, SingleJobRunsOnCallersThread)
+{
+    const CampaignPlan plan = syntheticPlan(5);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::string> events;
+    const auto results = runTasks(
+        plan.tasks(), 1,
+        [caller](const RunTask &task) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            TaskResult result;
+            result.record.cycles = task.runId;
+            return result;
+        },
+        [&events](std::uint64_t done, std::uint64_t total) {
+            events.push_back("p" + std::to_string(done) + "/" +
+                             std::to_string(total));
+        },
+        [&events](const RunTask &task, const TaskResult &result) {
+            EXPECT_EQ(result.record.cycles, task.runId);
+            events.push_back("c" + std::to_string(task.runId));
+        });
+    ASSERT_EQ(results.size(), 5u);
+    // Progress then commit, task by task.
+    EXPECT_EQ(events, (std::vector<std::string>{
+                          "p1/5", "c0", "p2/5", "c1", "p3/5", "c2",
+                          "p4/5", "c3", "p5/5", "c4"}));
 }
 
 TEST(Executor, ThreadPoolCommitsResultsInRunIdOrder)
 {
-    // 24 synthetic tasks finishing in roughly reverse order: the
-    // result vector must still come back indexed by runId.
-    constexpr std::uint64_t kTasks = 24;
-    std::vector<FaultMask> masks(kTasks);
-    for (std::uint64_t i = 0; i < kTasks; ++i)
-        masks[i].runId = i;
-    const CampaignPlan plan(CampaignConfig{}, syskit::RunRecord{},
-                            masks, kTasks);
+    // The tasks of a shard view: runIds 1, 4, 7, ... are not
+    // contiguous, and they finish in roughly reverse order.  The
+    // sink must still see them in list (ascending runId) order.
+    constexpr std::uint64_t kRuns = 24;
+    const CampaignPlan view = syntheticPlan(kRuns).shardView({1, 3});
+    const std::vector<RunTask> &tasks = view.tasks();
+    ASSERT_EQ(tasks.size(), kRuns / 3);
 
     const TaskRunner runner = [](const RunTask &task) {
         std::this_thread::sleep_for(std::chrono::microseconds(
-            200 * (kTasks - task.runId)));
+            200 * (kRuns - task.runId)));
         TaskResult result;
         result.record.cycles = 1000 + task.runId;
         result.record.stats.inc("runs");
-        result.simulatedCycles = task.runId;
         return result;
     };
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> progress;
-    CampaignReporter reporter(
+    std::vector<std::uint64_t> committed;
+    const auto results = runTasks(
+        tasks, 4, runner,
         [&progress](std::uint64_t done, std::uint64_t total) {
             progress.emplace_back(done, total);
         },
-        kTasks);
+        [&committed](const RunTask &task, const TaskResult &result) {
+            EXPECT_EQ(result.record.cycles, 1000 + task.runId);
+            committed.push_back(task.runId);
+        });
 
-    ThreadPoolExecutor executor(4);
-    const auto results = executor.run(plan, runner, reporter);
-
-    ASSERT_EQ(results.size(), kTasks);
-    for (std::uint64_t i = 0; i < kTasks; ++i) {
-        EXPECT_EQ(results[i].record.cycles, 1000 + i);
-        EXPECT_EQ(results[i].simulatedCycles, i);
+    ASSERT_EQ(results.size(), tasks.size());
+    std::vector<std::uint64_t> expected;
+    StatSet aggregate;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        EXPECT_EQ(tasks[i].runId, 3 * i + 1);
+        EXPECT_EQ(results[i].record.cycles, 1000 + tasks[i].runId);
+        expected.push_back(tasks[i].runId);
+        aggregate.merge(results[i].record.stats);
     }
+    EXPECT_EQ(committed, expected);
     // Progress callbacks are serialised and strictly increasing even
     // though completions raced.
-    ASSERT_EQ(progress.size(), kTasks);
-    for (std::uint64_t i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(progress.size(), tasks.size());
+    for (std::uint64_t i = 0; i < tasks.size(); ++i) {
         EXPECT_EQ(progress[i].first, i + 1);
-        EXPECT_EQ(progress[i].second, kTasks);
+        EXPECT_EQ(progress[i].second, tasks.size());
     }
-    EXPECT_EQ(reporter.aggregateStats().get("runs"), kTasks);
+    EXPECT_EQ(aggregate.get("runs"), tasks.size());
 }
 
 TEST(Executor, ThreadPoolPropagatesTaskErrors)
 {
-    std::vector<FaultMask> masks(8);
-    for (std::uint64_t i = 0; i < masks.size(); ++i)
-        masks[i].runId = i;
-    const CampaignPlan plan(CampaignConfig{}, syskit::RunRecord{},
-                            masks, masks.size());
+    const CampaignPlan plan = syntheticPlan(8);
     const TaskRunner runner = [](const RunTask &task) -> TaskResult {
-        if (task.runId == 3)
+        if (task.runId == 3 || task.runId == 5)
             fatal("task %s failed", task.runId);
         return {};
     };
-    CampaignReporter reporter({}, masks.size());
-    ThreadPoolExecutor executor(4);
-    EXPECT_THROW(executor.run(plan, runner, reporter), FatalError);
+    std::vector<std::uint64_t> committed;
+    try {
+        runTasks(plan.tasks(), 4, runner, {},
+                 [&committed](const RunTask &task, const TaskResult &) {
+                     committed.push_back(task.runId);
+                 });
+        ADD_FAILURE() << "runTasks did not rethrow";
+    } catch (const FatalError &error) {
+        // The lowest failing index wins, however the workers raced.
+        EXPECT_NE(std::string(error.what()).find("task 3 failed"),
+                  std::string::npos)
+            << error.what();
+    }
+    // Only an in-order prefix ahead of the failure was committed.
+    for (std::size_t i = 0; i < committed.size(); ++i)
+        EXPECT_EQ(committed[i], i);
+    EXPECT_LE(committed.size(), 3u);
+}
+
+TEST(Executor, CommitErrorStopsTheStream)
+{
+    // A failing sink (say, a full disk under the telemetry stream)
+    // fails the run, and no task reaches the sink twice.
+    const CampaignPlan plan = syntheticPlan(16);
+    for (const std::uint32_t jobs : {1u, 4u}) {
+        std::vector<std::uint64_t> committed;
+        EXPECT_THROW(
+            runTasks(plan.tasks(), jobs,
+                     [](const RunTask &) { return TaskResult{}; }, {},
+                     [&committed](const RunTask &task,
+                                  const TaskResult &) {
+                         committed.push_back(task.runId);
+                         if (task.runId == 2)
+                             fatal("sink failed");
+                     }),
+            FatalError);
+        EXPECT_EQ(committed, (std::vector<std::uint64_t>{0, 1, 2}))
+            << "jobs " << jobs;
+    }
 }
 
 /**
  * The acceptance contract: on every simulator setup, a >=32-run
  * campaign yields byte-identical RunRecord sequences, masks, and
- * ClassCounts for SerialExecutor vs ThreadPoolExecutor{jobs=4}, and
+ * ClassCounts for one job vs a pool of four, and
  * re-running with the same seed reproduces both.
  */
 class ExecutorDeterminism

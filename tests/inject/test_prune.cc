@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
@@ -166,9 +167,6 @@ TEST(PrunePlan, ApplyPruningSplitsTasksAndKeepsStats)
     EXPECT_EQ(plan.pruneStats().prunedStatic, 3u);
     EXPECT_EQ(plan.pruneStats().prunedEquiv, 4u);
     EXPECT_EQ(plan.totalRuns(), 10u);
-    // Ordinals renumber 0..n-1; runIds keep campaign identity.
-    for (std::size_t i = 0; i < plan.tasks().size(); ++i)
-        EXPECT_EQ(plan.tasks()[i].ordinal, i);
     EXPECT_EQ(plan.tasks()[0].pruneClass, 1u);
     EXPECT_EQ(plan.tasks()[1].pruneClass, 2u);
     EXPECT_EQ(plan.tasks()[2].pruneClass, 3u);
@@ -185,8 +183,6 @@ TEST(PrunePlan, ShardViewPromotesStrandedEquivMembers)
               (std::vector<std::uint64_t>{0, 4, 8}));
     EXPECT_EQ(prunedRunIds(even),
               (std::vector<std::uint64_t>{2, 6}));
-    for (std::size_t i = 0; i < even.tasks().size(); ++i)
-        EXPECT_EQ(even.tasks()[i].ordinal, i);
     // The promoted task carries the member's mask and class id.
     EXPECT_EQ(even.tasks()[1].runId, 4u);
     ASSERT_EQ(even.tasks()[1].masks.size(), 1u);
@@ -312,6 +308,33 @@ TEST(Prune, ResumeAfterPruneIsDeterministic)
     // The resumed process covered exactly the remainder.
     EXPECT_EQ(result.records.size() + result.pruned.size(),
               400u - 60u);
+
+    // The cut strands at least one equivalence member whose
+    // representative is in the replayed prefix, so only the prefix
+    // line carries its outcome.
+    TelemetryFile resumed;
+    std::string error;
+    ASSERT_TRUE(parseTelemetry(runs, resumed, error)) << error;
+    ASSERT_EQ(resumed.records.size(), 400u);
+    std::unordered_set<std::uint64_t> prefix;
+    for (std::size_t i = 0; i < 60; ++i)
+        prefix.insert(resumed.records[i].runId);
+    std::size_t stranded = 0;
+    for (const PrunedRunOutcome &outcome : result.pruned) {
+        if (outcome.verdict == SiteVerdict::EquivMember &&
+            prefix.count(outcome.repRunId) != 0)
+            ++stranded;
+    }
+    EXPECT_GE(stranded, 1u);
+
+    // The process's own tally agrees with the lines it streamed.
+    ClassCounts streamed;
+    for (std::size_t i = 60; i < resumed.records.size(); ++i) {
+        OutcomeClass cls = OutcomeClass::Masked;
+        ASSERT_TRUE(outcomeClassFromName(resumed.records[i].outcome, cls));
+        streamed.add(cls);
+    }
+    EXPECT_EQ(result.classify(Parser{}).counts, streamed.counts);
 }
 
 TEST(Exhaustive, EnumeratesEveryBitCycleSite)

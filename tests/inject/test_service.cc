@@ -804,6 +804,18 @@ TEST(Service, RejectionsCarryOpAndRetryable)
         EXPECT_FALSE(r.ok);
         EXPECT_FALSE(r.retryable);
     }
+    {
+        // `jobs` is untrusted wire input: past the bound it is a
+        // config error, and no worker thread is started for it.
+        CampaignService service({});
+        ServiceRequest bad = request;
+        bad.config.numInjections = 2;
+        bad.config.jobs = 1025;
+        const ServiceResponse r = service.execute(bad);
+        EXPECT_FALSE(r.ok);
+        EXPECT_FALSE(r.retryable);
+        EXPECT_EQ(r.error.rfind("config: jobs:", 0), 0u) << r.error;
+    }
 }
 
 // ---------------------------------------------------------------
